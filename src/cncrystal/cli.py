@@ -3,8 +3,9 @@
 Subcommands: graph, elements, decompose-tensor, decompose-product, verify.
 Documents go to stdout (or --output) and always end with a newline; identical
 commands produce byte-identical documents.  Exit status: 0 success, 1 usage
-or resource error, 2 verification mismatch.  The environment variable
-CRYSTAL_VERTEX_BUDGET overrides the closure vertex budget.
+or resource error, 2 verification mismatch or broken invariant (reported as
+"error: <message>" on stderr).  The environment variable CRYSTAL_VERTEX_BUDGET
+overrides the closure vertex budget.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import os
 import sys
 
 from . import graphs
-from .graphs import VertexBudgetExceeded, export, generate_closure
+from .graphs import CrystalInvariantError, VertexBudgetExceeded, export, generate_closure
 from .monomials import Monomial, m_k_set
 from .products import (
     ProductSpec,
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
     except VertexBudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except CrystalInvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     finally:
         graphs.DEFAULT_VERTEX_BUDGET = saved_budget
 

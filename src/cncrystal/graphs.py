@@ -139,9 +139,6 @@ class Decomposition:
     def weight_multiset(self) -> Counter:
         return Counter(c.weight.coeffs for c in self.components)
 
-    def size_multiset(self) -> Counter:
-        return Counter(c.size for c in self.components)
-
     def __len__(self) -> int:
         return len(self.components)
 
@@ -163,19 +160,25 @@ class Decomposition:
         return f"<Decomposition {inner or '(empty)'}>"
 
 
-def decompose_set(elements: Iterable, check_closed: bool = True) -> Decomposition:
+_NOT_CLOSED = "decompose_set requires a set closed under e and f"
+
+
+def decompose_set(elements: Iterable) -> Decomposition:
     """Split a finite closed set into connected components.
 
     Every component of a closed set of semi-normal elements contains exactly
     one highest-weight element (all eps_i = 0), which labels it by a dominant
     weight; the components must partition the set, and any failure of that is
     an error rather than a result.
+
+    Closedness needs no separate pass: each component is an operator closure,
+    so when every component lies inside the set and together they cover it,
+    the set is a union of closed sets and hence closed.  A set failing either
+    check is not closed, which raises ValueError.
     """
     elems = set(elements)
     if not elems:
         return Decomposition(())
-    if check_closed and not is_closed(elems):
-        raise ValueError("decompose_set requires a set closed under e and f")
     rank = next(iter(elems)).rank
     highest = sorted(
         (v for v in elems if all(v.epsilon(i) == 0 for i in range(1, rank + 1))),
@@ -186,19 +189,17 @@ def decompose_set(elements: Iterable, check_closed: bool = True) -> Decompositio
     for h in highest:
         graph = generate_closure([h])
         members = set(graph.vertices)
+        if not members <= elems:
+            raise ValueError(_NOT_CLOSED)
         if members & seen:
             raise CrystalInvariantError("components are not pairwise disjoint")
-        if not members <= elems:
-            raise CrystalInvariantError("component escapes the ambient closed set")
         seen |= members
         weight = h.weight()
         if not weight.is_dominant():
             raise CrystalInvariantError(f"highest weight {weight} is not dominant")
         comps.append(Component(weight, len(members), h))
     if seen != elems:
-        raise CrystalInvariantError(
-            f"components cover {len(seen)} of {len(elems)} elements"
-        )
+        raise ValueError(_NOT_CLOSED)
     return Decomposition(comps)
 
 

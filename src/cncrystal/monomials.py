@@ -151,28 +151,34 @@ class Monomial:
         """(eps_i, phi_i, n_e, n_f); the shifts are meaningful only when the
         corresponding statistic is positive."""
         check_index(self.rank, i)
-        row = sorted((m, e) for (j, m), e in self._exps.items() if j == i)
-        if not row:
-            return StringStats(0, 0, 0, 0)
-        # Running prefix sums at each support shift, with a virtual zero just
-        # below the support; the maximum over all of Z is attained here.
-        points = [(row[0][0] - 1, 0)]
-        acc = 0
-        for m, e in row:
+        # _key is sorted by (row, shift), so row i is one increasing run of
+        # shifts.  Walk it once, keeping the running prefix sum; the prefix sum
+        # is a virtual 0 just below the run, so the maximum over all of Z is
+        # attained at that point or at a shift of the run.
+        acc = best = 0
+        n_f = n_e = last = None
+        at_best = False  # whether the latest point attains the running maximum
+        for (j, m), e in self._key:
+            if j != i:
+                if j > i:
+                    break
+                continue
+            if last is None:
+                n_f = m - 1
+                at_best = True
+            if at_best:
+                # the plateau holding the maximum ends just before this shift
+                n_e = m - 1
             acc += e
-            points.append((m, acc))
-        total = acc
-        best = max(v for _, v in points)
-        phi = best
-        eps = best - total
-        n_f = next(m for m, v in points if v == best)
-        last = max(idx for idx, (_, v) in enumerate(points) if v == best)
-        if last == len(points) - 1:
-            n_e = points[last][0]
-        else:
-            # plateau holding the max ends just before the next support shift
-            n_e = points[last + 1][0] - 1
-        return StringStats(eps, phi, n_e, n_f)
+            if acc > best:
+                best, n_f = acc, m
+            at_best = acc >= best
+            last = m
+        if last is None:
+            return StringStats(0, 0, 0, 0)
+        if at_best:
+            n_e = last
+        return StringStats(best - acc, best, n_e, n_f)
 
     def epsilon(self, i: int) -> int:
         return self.string_stats(i).epsilon

@@ -31,7 +31,6 @@ from .graphs import (
     Decomposition,
     decompose_set,
     generate_closure,
-    is_closed,
 )
 from .monomials import Monomial, m_k_set
 from .rootdata import Weight, check_index, check_rank
@@ -72,13 +71,12 @@ def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
 
 @lru_cache(maxsize=8)
 def product_set(spec: ProductSpec) -> tuple[Monomial, ...]:
-    """All entrywise products, deduplicated and verified closed."""
+    """All entrywise products, deduplicated and sorted.  The set is proven
+    operator-closed when it is decomposed: decompose_set checks that its
+    components lie inside it and cover it."""
     left = fundamental_crystal(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q, 1)
-    products = {a * b for a in left for b in right}
-    if not is_closed(products):
-        raise CrystalInvariantError(f"product set for {spec} is not operator-closed")
-    return tuple(sorted(products))
+    return tuple(sorted({a * b for a in left for b in right}))
 
 
 def product_factorizations(spec: ProductSpec) -> dict[Monomial, tuple[tuple[Monomial, Monomial], ...]]:
@@ -93,6 +91,17 @@ def product_factorizations(spec: ProductSpec) -> dict[Monomial, tuple[tuple[Mono
     return {key: tuple(val) for key, val in out.items()}
 
 
+def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
+    """decompose_set, reporting an open product set as a broken invariant:
+    the theory says every such product set is operator-closed."""
+    try:
+        return decompose_set(products)
+    except ValueError as exc:
+        raise CrystalInvariantError(
+            f"product set for {spec} is not operator-closed"
+        ) from exc
+
+
 def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
     """Decompose the product set by closure from its highest-weight elements.
 
@@ -100,8 +109,7 @@ def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
     off the left factor Y_p(m): dividing a witness by it must land in the
     right-hand fundamental crystal.
     """
-    elements = product_set(spec)
-    decomposition = decompose_set(elements, check_closed=False)
+    decomposition = _decompose_product_set(product_set(spec), spec)
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
     right = set(fundamental_crystal(spec.n, spec.q, 1))
     for component in decomposition:
@@ -260,9 +268,7 @@ def general_product_decomposition(
     left = set(m_k_set(n, p, m))
     right = set(m_k_set(n, q, l))
     products = {a * b for a in left for b in right}
-    if not is_closed(products):
-        raise CrystalInvariantError("general product set is not operator-closed")
-    return decompose_set(products, check_closed=False), spec
+    return _decompose_product_set(products, spec), spec
 
 
 # -- exhaustive verification ----------------------------------------------------

@@ -315,9 +315,7 @@ def test_criterion_6_property_suites():
                 for m in (1, 2):
                     left = fundamental_crystal(n, p, m)
                     right = fundamental_crystal(n, q, m)
-                    dec = decompose_set(
-                        {a * b for a in left for b in right}, check_closed=False
-                    )
+                    dec = decompose_set({a * b for a in left for b in right})
                     assert len(dec) == 1
                     assert dec.components[0].weight == weight_of_pair(
                         n, min(p, q), max(p, q)

@@ -6,7 +6,9 @@ from pathlib import Path
 import pytest
 
 import cncrystal
+from cncrystal import cli
 from cncrystal.cli import main
+from cncrystal.graphs import CrystalInvariantError
 
 
 def run_cli(capsys, *argv):
@@ -149,6 +151,19 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
     assert code == 1
     assert "CRYSTAL_VERTEX_BUDGET" in err
+
+
+def test_invariant_errors_exit_2(capsys, monkeypatch):
+    def broken(spec):
+        raise CrystalInvariantError(f"product set for {spec} is not operator-closed")
+
+    monkeypatch.setattr(cli, "decompose_product_bruteforce", broken)
+    code, out, err = run_cli(
+        capsys, "decompose-product", "--rank", "2", "--p", "1", "--q", "1", "--m", "2"
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: product set for ProductSpec(n=2, p=1, q=1, m=2)")
 
 
 def test_output_file(tmp_path, capsys):

@@ -76,6 +76,12 @@ def test_decompose_rejects_open_sets():
         decompose_set(vertices[:2])
 
 
+def test_decompose_rejects_sets_missing_their_highest_weight():
+    vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
+    with pytest.raises(ValueError, match="closed under e and f"):
+        decompose_set(vertices[1:])
+
+
 def test_decompose_product_set_rank2():
     left = generate_closure([Monomial.generator(2, 1, 2)]).vertices
     right = generate_closure([Monomial.generator(2, 1, 1)]).vertices

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from cncrystal.monomials import (
@@ -18,14 +20,32 @@ def Y(n, *factors):
 
 
 def naive_string_stats(mono, i, pad=6):
-    """Direct evaluation of the max-sum definitions over a wide window."""
+    """Direct evaluation of the max-sum definitions over a wide window:
+    (eps, phi, n_e, n_f), with n_f the smallest maximizer of the prefix sum
+    sum_{k <= m} and n_e the largest maximizer of -sum_{k > m}."""
     shifts = [m for (j, m) in mono.support() if j == i]
     if not shifts:
-        return 0, 0
+        return 0, 0, None, None
     window = range(min(shifts) - pad, max(shifts) + pad + 1)
-    phi = max(0, max(sum(mono.exponent(i, k) for k in window if k <= m) for m in window))
-    eps = max(0, max(-sum(mono.exponent(i, k) for k in window if k > m) for m in window))
-    return eps, phi
+    below = {m: sum(mono.exponent(i, k) for k in window if k <= m) for m in window}
+    above = {m: -sum(mono.exponent(i, k) for k in window if k > m) for m in window}
+    phi = max(0, max(below.values()))
+    eps = max(0, max(above.values()))
+    n_f = min(m for m in window if below[m] == phi)
+    n_e = max(m for m in window if above[m] == eps)
+    return eps, phi, n_e, n_f
+
+
+def assert_string_stats_match_naive(mono):
+    for i in range(1, mono.rank + 1):
+        s = mono.string_stats(i)
+        eps, phi, n_e, n_f = naive_string_stats(mono, i)
+        assert (s.epsilon, s.phi) == (eps, phi), (mono, i)
+        # the shifts are meaningful only where the statistic is positive
+        if phi > 0:
+            assert s.n_f == n_f, (mono, i)
+        if eps > 0:
+            assert s.n_e == n_e, (mono, i)
 
 
 # -- weights -------------------------------------------------------------------
@@ -57,11 +77,31 @@ def test_string_stats_match_naive_definition():
         Y(3, (2, 2, -2), (2, 5, 1), (3, 4, 1)),
         Y(3, (1, 1, 1), (1, 2, -1), (1, 4, 1), (1, 6, -1)),
         Monomial.one(3),
+        # plateaus: the maximum is held over a gap and attained twice
+        Y(3, (1, 1, 1), (1, 5, -1)),
+        Y(3, (1, 1, 2), (1, 3, -1), (1, 4, 1), (1, 7, -3)),
+        Y(3, (2, -2, 1), (2, 0, -1), (2, 3, 1), (2, 4, -1)),
+        # zero-sum rows
+        Y(3, (1, 2, -1), (1, 4, 1)),
+        Y(3, (3, 0, 1), (3, 1, -2), (3, 2, 1)),
+        # single-entry rows, negative exponents
+        Y(3, (1, 3, 1), (2, -1, -1), (3, 7, 4)),
+        Y(3, (1, -4, -3), (2, 0, 2), (3, 2, -1)),
+        Y(3, (1, 0, -1), (1, 1, -1), (2, 2, -2), (2, 5, -1)),
     ]
     for mono in samples:
-        for i in (1, 2, 3):
-            s = mono.string_stats(i)
-            assert (s.epsilon, s.phi) == naive_string_stats(mono, i)
+        assert_string_stats_match_naive(mono)
+
+
+def test_string_stats_match_naive_definition_on_random_monomials():
+    rng = random.Random(20250718)
+    for _ in range(2000):
+        n = rng.randint(2, 4)
+        factors = [
+            (rng.randint(1, n), rng.randint(-3, 5), rng.choice((-2, -1, 1, 2)))
+            for _ in range(rng.randint(0, 8))
+        ]
+        assert_string_stats_match_naive(Monomial.from_factors(n, factors))
 
 
 def test_string_stats_index_range():

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from cncrystal.graphs import is_closed
+from cncrystal import products
+from cncrystal.graphs import CrystalInvariantError, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.products import (
     ComponentPrediction,
@@ -76,6 +77,15 @@ def test_bruteforce_left_factor_witnesses():
     right = set(fundamental_crystal(3, 3, 1))
     for comp in dec:
         assert comp.witness / left in right
+
+
+def test_bruteforce_rejects_an_open_product_set(monkeypatch):
+    spec = ProductSpec(2, 1, 1, 2)
+    truncated = product_set(spec)[1:]
+    monkeypatch.setattr(products, "product_set", lambda _spec: truncated)
+    with pytest.raises(CrystalInvariantError, match="is not operator-closed") as info:
+        decompose_product_bruteforce(spec)
+    assert str(spec) in str(info.value)
 
 
 # -- closed forms ------------------------------------------------------------------

@@ -241,7 +241,7 @@ def test_highest_weight_products_factor_through_left_generator():
 def test_cardinality_conservation():
     for spec in [ProductSpec(2, 1, 1, 2), ProductSpec(3, 2, 3, 3)]:
         elements = product_set(spec)
-        dec = decompose_set(elements, check_closed=False)
+        dec = decompose_set(elements)
         assert dec.total_size == len(elements)
 
 
