@@ -22,11 +22,9 @@ from .graphs import (
 from .monomials import (
     Monomial,
     StringStats,
-    TaggedElement,
     XLetter,
     m_k_set,
     root_monomial,
-    tagged_m_k_set,
     x_monomial,
 )
 from .products import (
@@ -68,7 +66,6 @@ __all__ = [
     "Monomial",
     "ProductSpec",
     "StringStats",
-    "TaggedElement",
     "TensorPair",
     "VerificationReport",
     "VertexBudgetExceeded",
@@ -95,7 +92,6 @@ __all__ = [
     "product_set",
     "root_monomial",
     "simple_root",
-    "tagged_m_k_set",
     "tensor_decomposition_closed_form",
     "tensor_highest_weights",
     "verify_range",

@@ -24,7 +24,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .rootdata import Weight, check_index, check_rank
+from .rootdata import (
+    Weight,
+    check_index,
+    check_rank,
+    letter_alphabet,
+    letter_order_index,
+)
 
 StringStats = namedtuple("StringStats", "epsilon phi n_e n_f")
 
@@ -276,20 +282,6 @@ class XLetter:
         return f"X{name}({self.shift})"
 
 
-def letter_order_index(n: int, value: int) -> int:
-    """Position of a signed letter in the order 1 < ... < n < -n < ... < -1."""
-    check_rank(n)
-    if not isinstance(value, int) or value == 0 or abs(value) > n:
-        raise ValueError(f"letter value {value!r} out of range for rank {n}")
-    return value - 1 if value > 0 else 2 * n + value
-
-
-def letter_alphabet(n: int) -> tuple[int, ...]:
-    """All 2n signed letters in increasing order."""
-    check_rank(n)
-    return tuple(range(1, n + 1)) + tuple(range(-n, 0))
-
-
 def x_monomial(n: int, letter: XLetter) -> Monomial:
     """Y-form of an X-variable.
 
@@ -337,24 +329,3 @@ def m_k_set(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     """
     seen = {x_word_monomial(n, word) for word in m_k_words(n, k, m)}
     return tuple(sorted(seen))
-
-
-@dataclass(frozen=True)
-class TaggedElement:
-    """Monomial together with the ambient set M_p(m) it was produced in.
-
-    The tag is genuine extra data: the same Y-exponent function can occur in
-    several ambient sets, and length/height are attributes of the tag.
-    """
-
-    monomial: Monomial
-    length: int
-    base: int
-
-    @property
-    def height(self) -> int:
-        return self.base + max(self.length - self.monomial.rank, 0)
-
-
-def tagged_m_k_set(n: int, k: int, m: int) -> tuple[TaggedElement, ...]:
-    return tuple(TaggedElement(mon, k, m) for mon in m_k_set(n, k, m))

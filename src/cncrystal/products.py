@@ -79,18 +79,6 @@ def product_set(spec: ProductSpec) -> tuple[Monomial, ...]:
     return tuple(sorted({a * b for a in left for b in right}))
 
 
-def product_factorizations(spec: ProductSpec) -> dict[Monomial, tuple[tuple[Monomial, Monomial], ...]]:
-    """Every product monomial with all (left, right) factorizations that
-    produced it; collisions are retained, not collapsed."""
-    left = fundamental_crystal(spec.n, spec.p, spec.m)
-    right = fundamental_crystal(spec.n, spec.q, 1)
-    out: dict[Monomial, list[tuple[Monomial, Monomial]]] = {}
-    for a in left:
-        for b in right:
-            out.setdefault(a * b, []).append((a, b))
-    return {key: tuple(val) for key, val in out.items()}
-
-
 def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
     """decompose_set, reporting an open product set as a broken invariant:
     the theory says every such product set is operator-closed."""

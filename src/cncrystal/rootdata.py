@@ -5,11 +5,14 @@ weights and are stored in that basis, so the coroot pairing <h_i, w> is a
 coordinate lookup.  The orthogonal epsilon-basis (L_i = eps_1 + ... + eps_i)
 used by tableau combinatorics is converted on demand; the change of basis is
 unitriangular, hence an exact integer bijection.
+
+The 2n weights +-eps_i of the vector representation are written as signed
+letters (+i for eps_i, -i for -eps_i) in the order 1 < ... < n < -n < ... < -1;
+both the monomial and the column model index their words by this alphabet.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable
 
 
@@ -23,6 +26,20 @@ def check_index(n: int, i: int, name: str = "i") -> int:
     if not isinstance(i, int) or not 1 <= i <= n:
         raise ValueError(f"index {name}={i!r} out of range [1, {n}]")
     return i
+
+
+def letter_order_index(n: int, value: int) -> int:
+    """Position of a signed letter in the order 1 < ... < n < -n < ... < -1."""
+    check_rank(n)
+    if not isinstance(value, int) or value == 0 or abs(value) > n:
+        raise ValueError(f"letter value {value!r} out of range for rank {n}")
+    return value - 1 if value > 0 else 2 * n + value
+
+
+def letter_alphabet(n: int) -> tuple[int, ...]:
+    """All 2n signed letters in increasing order."""
+    check_rank(n)
+    return tuple(range(1, n + 1)) + tuple(range(-n, 0))
 
 
 def cartan_entry(n: int, i: int, j: int) -> int:
@@ -48,26 +65,6 @@ def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(
         tuple(cartan_entry(n, i, j) for j in range(1, n + 1)) for i in range(1, n + 1)
     )
-
-
-def cartan_determinant(n: int) -> int:
-    """Exact determinant of the Cartan matrix (2 for every type C_n)."""
-    rows = [[Fraction(x) for x in row] for row in cartan_matrix(n)]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if rows[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            rows[col], rows[pivot] = rows[pivot], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, n):
-            factor = rows[r][col] / rows[col][col]
-            for c in range(col, n):
-                rows[r][c] -= factor * rows[col][c]
-    assert det.denominator == 1
-    return int(det)
 
 
 class Weight:

@@ -7,23 +7,30 @@ the 2n-vertex path
     1 -1-> 2 -2-> ... -(n-1)-> n -n-> nbar -(n-1)-> ... -2-> 2bar -1-> 1bar,
 
 and a column [i_1 < ... < i_N] carries the crystal structure of the word
-[i_1] (x) ... (x) [i_N], evaluated by folding the two-factor tensor rule
-left to right.  Admissible columns (the one-column condition below) realize
-the fundamental crystal of highest weight L_N.
+[i_1] (x) ... (x) [i_N] in Kashiwara's tensor convention.  It is read off by
+the signature rule: going down the column, write - for each letter with
+eps_i = 1 and + for each letter with phi_i = 1, and let every + cancel the
+nearest free - below it.  Then eps_i counts the free -, phi_i the free +,
+e_i raises the lowest free - and f_i lowers the highest free +.  Admissible
+columns (the one-column condition below) realize the fundamental crystal of
+highest weight L_N.
 
 This model is the independent oracle for tensor-product decompositions: it
-never touches the monomial realization.
+imports only the root data and never touches the monomial realization.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import reduce
 from typing import Iterable
 
-from .graphs import TensorPair
-from .monomials import letter_alphabet, letter_order_index
-from .rootdata import Weight, check_index, check_rank
+from .rootdata import (
+    Weight,
+    check_index,
+    check_rank,
+    letter_alphabet,
+    letter_order_index,
+)
 
 
 class Letter:
@@ -117,42 +124,51 @@ class Column:
         idx = [letter_order_index(self.rank, v) for v in self.letters]
         return all(a < b for a, b in zip(idx, idx[1:]))
 
-    def _word(self):
-        letters = [Letter(self.rank, v) for v in self.letters]
-        return reduce(TensorPair, letters)
-
-    @classmethod
-    def _from_word(cls, rank: int, element) -> "Column":
-        out: list[int] = []
-        stack = [element]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, TensorPair):
-                stack.append(node.right)
-                stack.append(node.left)
-            else:
-                out.append(node.value)
-        return cls(rank, out)
-
     def weight(self) -> Weight:
         eps = [0] * self.rank
         for v in self.letters:
             eps[abs(v) - 1] += 1 if v > 0 else -1
         return Weight.from_epsilon(eps)
 
+    def _signature(self, i: int) -> tuple[list[int], list[int]]:
+        """Positions of the free - and of the free + in the i-signature, top down."""
+        check_index(self.rank, i)
+        minus: list[int] = []
+        plus: list[int] = []
+        for pos, v in enumerate(self.letters):
+            letter = Letter(self.rank, v)
+            if letter.epsilon(i):
+                if plus:
+                    plus.pop()
+                else:
+                    minus.append(pos)
+            elif letter.phi(i):
+                plus.append(pos)
+        return minus, plus
+
+    def _replace(self, pos: int, letter: Letter) -> "Column":
+        letters = self.letters
+        return Column(self.rank, letters[:pos] + (letter.value,) + letters[pos + 1:])
+
     def epsilon(self, i: int) -> int:
-        return self._word().epsilon(i)
+        return len(self._signature(i)[0])
 
     def phi(self, i: int) -> int:
-        return self._word().phi(i)
+        return len(self._signature(i)[1])
 
     def e(self, i: int) -> "Column | None":
-        up = self._word().e(i)
-        return None if up is None else Column._from_word(self.rank, up)
+        minus, _ = self._signature(i)
+        if not minus:
+            return None
+        pos = minus[-1]
+        return self._replace(pos, Letter(self.rank, self.letters[pos]).e(i))
 
     def f(self, i: int) -> "Column | None":
-        down = self._word().f(i)
-        return None if down is None else Column._from_word(self.rank, down)
+        _, plus = self._signature(i)
+        if not plus:
+            return None
+        pos = plus[0]
+        return self._replace(pos, Letter(self.rank, self.letters[pos]).f(i))
 
     def is_highest_weight(self) -> bool:
         return all(self.epsilon(i) == 0 for i in range(1, self.rank + 1))
@@ -227,23 +243,23 @@ def tensor_highest_weights(
     n: int, p: int, q: int
 ) -> tuple[tuple[Column, Column, Weight], ...]:
     """All highest-weight pairs u (x) v with u, v in the fundamental crystals
-    of lengths p and q, by exhaustive search over every pair."""
+    of lengths p and q.
+
+    u (x) v is highest weight exactly when the word u.v is.  A free - of u
+    stays free in u.v, so only a highest-weight u can start a pair, and only
+    the partners of such a u are scanned.
+    """
     check_rank(n)
     check_index(n, p, "p")
     check_index(n, q, "q")
     left = column_crystal(n, p)
     right = column_crystal(n, q)
-    left_stats = [
-        (u, u.weight(), [u.epsilon(i) for i in range(1, n + 1)], [u.phi(i) for i in range(1, n + 1)])
-        for u in left
-    ]
-    right_stats = [(v, [v.epsilon(i) for i in range(1, n + 1)]) for v in right]
     out = []
-    for u, wu, eps_u, _phi_u in left_stats:
-        pairings = [wu.pairing(i) for i in range(1, n + 1)]
-        for v, eps_v in right_stats:
-            if all(
-                max(eps_u[i], eps_v[i] - pairings[i]) == 0 for i in range(n)
-            ):
+    for u in left:
+        if not u.is_highest_weight():
+            continue
+        wu = u.weight()
+        for v in right:
+            if Column(n, u.letters + v.letters).is_highest_weight():
                 out.append((u, v, wu + v.weight()))
     return tuple(out)

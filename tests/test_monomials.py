@@ -4,12 +4,9 @@ import pytest
 
 from cncrystal.monomials import (
     Monomial,
-    TaggedElement,
     XLetter,
-    letter_alphabet,
     m_k_set,
     root_monomial,
-    tagged_m_k_set,
     x_monomial,
 )
 from cncrystal.rootdata import Weight
@@ -235,11 +232,7 @@ def test_m_k_set_range_errors():
         m_k_set(2, 5, 1)
 
 
-def test_letter_alphabet_order():
-    assert letter_alphabet(3) == (1, 2, 3, -3, -2, -1)
-
-
-# -- reductions and tags -------------------------------------------------------------
+# -- reductions ----------------------------------------------------------------------
 
 
 def test_row_deletion():
@@ -253,22 +246,6 @@ def test_row_deletion_is_multiplicative():
     a = Y(3, (1, 1, 1), (2, 2, -1))
     b = Y(3, (1, 1, -1), (3, 0, 2))
     assert (a * b).without_row(1) == a.without_row(1) * b.without_row(1)
-
-
-def test_tagged_measures():
-    elt = TaggedElement(Monomial.one(2), length=3, base=1)
-    assert (elt.length, elt.height) == (3, 2)
-    elt = TaggedElement(Monomial.one(5), length=3, base=4)
-    assert (elt.length, elt.height) == (3, 4)
-    elt = TaggedElement(Monomial.one(2), length=4, base=0)
-    assert (elt.length, elt.height) == (4, 2)
-
-
-def test_tagged_m_k_set_tags():
-    tagged = tagged_m_k_set(2, 3, 2)
-    assert {t.length for t in tagged} == {3}
-    assert {t.height for t in tagged} == {3}
-    assert [t.monomial for t in tagged] == list(m_k_set(2, 3, 2))
 
 
 # -- canonical forms ------------------------------------------------------------------

@@ -3,10 +3,10 @@ from hypothesis import given, strategies as st
 
 from cncrystal.rootdata import (
     Weight,
-    cartan_determinant,
     cartan_entry,
     cartan_matrix,
     check_rank,
+    letter_alphabet,
     simple_root,
 )
 
@@ -27,6 +27,10 @@ def test_cartan_matrix_rank2():
 def test_cartan_entry_range_errors(bad):
     with pytest.raises(ValueError):
         cartan_entry(4, *bad)
+
+
+def test_letter_alphabet_order():
+    assert letter_alphabet(3) == (1, 2, 3, -3, -2, -1)
 
 
 def test_rank_must_be_at_least_two():
@@ -88,12 +92,6 @@ def test_basis_convert_roundtrip(coeffs):
     assert Weight.from_epsilon(w.to_epsilon()) == w
     eps = coeffs  # reuse arbitrary integers as epsilon-coordinates too
     assert Weight.from_epsilon(eps).to_epsilon() == eps
-
-
-def test_simple_roots_linearly_independent():
-    # nonzero Cartan determinant == linear independence of the alpha_i
-    for n in range(2, 7):
-        assert cartan_determinant(n) == 2
 
 
 def test_weight_text_and_json():

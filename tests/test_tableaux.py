@@ -1,10 +1,15 @@
+import ast
+import itertools
 from collections import Counter
+from functools import reduce
+from pathlib import Path
 
 import pytest
 
-from cncrystal.graphs import generate_closure, is_closed
+from cncrystal import monomials, tableaux
+from cncrystal.graphs import TensorPair, generate_closure, is_closed
 from cncrystal.monomials import Monomial
-from cncrystal.rootdata import Weight
+from cncrystal.rootdata import Weight, letter_alphabet
 from cncrystal.tableaux import (
     Column,
     Letter,
@@ -169,3 +174,69 @@ def test_column_text_and_json():
     col = Column(2, (2, -2))
     assert str(col) == "[2,2̄]"
     assert col.to_json() == [2, -2]
+
+
+# -- the signature rule against the two-factor tensor rule ---------------------------
+
+
+def _letter_words():
+    for n, max_length in [(2, 4), (3, 4), (4, 3)]:
+        for length in range(1, max_length + 1):
+            for word in itertools.product(letter_alphabet(n), repeat=length):
+                yield n, word
+
+
+def _flatten(element):
+    if isinstance(element, TensorPair):
+        return _flatten(element.left) + _flatten(element.right)
+    return (element.value,)
+
+
+def test_signature_rule_matches_the_tensor_fold():
+    checked = 0
+    for n, word in _letter_words():
+        column = Column(n, word)
+        folded = reduce(TensorPair, [Letter(n, v) for v in word])
+        for i in range(1, n + 1):
+            assert column.epsilon(i) == folded.epsilon(i), (word, i)
+            assert column.phi(i) == folded.phi(i), (word, i)
+            for ours, ref in ((column.e(i), folded.e(i)), (column.f(i), folded.f(i))):
+                ours = None if ours is None else ours.letters
+                ref = None if ref is None else _flatten(ref)
+                assert ours == ref, (word, i)
+        checked += 1
+    assert checked == 2478
+
+
+def test_tensor_highest_weights_match_an_exhaustive_pair_scan():
+    for n in range(2, 5):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                expected = tuple(
+                    (u, v, u.weight() + v.weight())
+                    for u in column_crystal(n, p)
+                    for v in column_crystal(n, q)
+                    if all(TensorPair(u, v).epsilon(i) == 0 for i in range(1, n + 1))
+                )
+                assert tensor_highest_weights(n, p, q) == expected, (n, p, q)
+
+
+# -- the oracle shares no code with the monomial model --------------------------------
+
+
+def _package_imports(module):
+    tree = ast.parse(Path(module.__file__).read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            name = "." * node.level + (node.module or "")
+            if node.level or name.startswith("cncrystal"):
+                found.add(name)
+        elif isinstance(node, ast.Import):
+            found.update(a.name for a in node.names if a.name.startswith("cncrystal"))
+    return found
+
+
+def test_oracle_imports_only_root_data():
+    assert _package_imports(tableaux) == {".rootdata"}
+    assert not {".tableaux", "cncrystal.tableaux"} & _package_imports(monomials)
