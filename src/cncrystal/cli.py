@@ -5,7 +5,7 @@ Documents go to stdout (or --output) and always end with a newline; identical
 commands produce byte-identical documents.  Exit status: 0 success, 1 usage
 or resource error, 2 verification mismatch or broken invariant (reported as
 "error: <message>" on stderr).  The environment variable CRYSTAL_VERTEX_BUDGET
-overrides the closure vertex budget.
+overrides the vertex budget, which also bounds the words and products formed.
 """
 
 from __future__ import annotations

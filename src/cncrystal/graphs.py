@@ -22,6 +22,13 @@ class VertexBudgetExceeded(RuntimeError):
     """Closure grew past the configured vertex budget (misuse guard)."""
 
 
+def check_budget(count: int, what: str) -> None:
+    """Refuse, before it starts, an enumeration of count items over the budget."""
+    budget = DEFAULT_VERTEX_BUDGET
+    if count > budget:
+        raise VertexBudgetExceeded(f"{what}: {count} exceeds the vertex budget {budget}")
+
+
 class CrystalInvariantError(RuntimeError):
     """A structural fact the theory guarantees failed to hold."""
 

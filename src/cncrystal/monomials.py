@@ -1,8 +1,9 @@
 """Nakajima monomials for type C_n and their crystal structure.
 
 A monomial is a finitely supported integer exponent function on the variables
-Y_i(m) with i in [1, n] and m in Z.  The crystal data is read off running
-exponent sums along each row i:
+Y_i(m) with i in [1, n] and m in Z, stored as one sorted tuple of (i, m, e)
+triples, one per nonzero exponent.  The crystal data is read off running
+exponent sums along each row i, which is one run of increasing shifts:
 
     phi_i   = max over m of  sum_{k <= m} y_i(k)      (at least 0),
     eps_i   = max over m of -sum_{k >  m} y_i(k)      (at least 0),
@@ -20,10 +21,13 @@ here; every other module builds on top of these operators.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
+from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
+from .graphs import check_budget
 from .rootdata import (
     Weight,
     check_index,
@@ -35,12 +39,13 @@ from .rootdata import (
 StringStats = namedtuple("StringStats", "epsilon phi n_e n_f")
 
 ExponentKey = tuple[int, int]  # (row index i, shift m)
+Triple = tuple[int, int, int]  # (row index i, shift m, exponent e)
 
 
 class Monomial:
-    """Immutable Laurent monomial in the Y_i(m), in canonical form (no zero exponents)."""
+    """Immutable Laurent monomial in the Y_i(m): _key, its nonzero (i, m, e) triples, sorted."""
 
-    __slots__ = ("rank", "_exps", "_key", "_hash")
+    __slots__ = ("rank", "_key", "_hash")
 
     def __init__(self, rank: int, exponents: Mapping[ExponentKey, int]):
         check_rank(rank)
@@ -50,24 +55,23 @@ class Monomial:
             e = int(e)
             if e:
                 clean[(i, int(m))] = e
-        self._init_trusted(rank, clean)
-
-    def _init_trusted(self, rank: int, clean: dict[ExponentKey, int]) -> None:
         self.rank = rank
-        self._exps = clean
-        self._key = tuple(sorted(clean.items()))
+        self._key = tuple(sorted((i, m, e) for (i, m), e in clean.items()))
         self._hash = hash((rank, self._key))
 
     @classmethod
-    def _trusted(cls, rank: int, clean: dict[ExponentKey, int]) -> "Monomial":
+    def _trusted(cls, rank: int, key: tuple[Triple, ...]) -> "Monomial":
+        """Wrap a key already in canonical form (sorted, no zero exponents)."""
         obj = cls.__new__(cls)
-        obj._init_trusted(rank, clean)
+        obj.rank = rank
+        obj._key = key
+        obj._hash = hash((rank, key))
         return obj
 
     @classmethod
     def one(cls, rank: int) -> "Monomial":
         check_rank(rank)
-        return cls._trusted(rank, {})
+        return cls._trusted(rank, ())
 
     @classmethod
     def generator(cls, rank: int, i: int, m: int, exponent: int = 1) -> "Monomial":
@@ -76,10 +80,10 @@ class Monomial:
         check_index(rank, i)
         if exponent == 0:
             return cls.one(rank)
-        return cls._trusted(rank, {(i, int(m)): int(exponent)})
+        return cls._trusted(rank, ((i, int(m), int(exponent)),))
 
     @classmethod
-    def from_factors(cls, rank: int, factors: Iterable[tuple[int, int, int]]) -> "Monomial":
+    def from_factors(cls, rank: int, factors: Iterable[Triple]) -> "Monomial":
         """Product of Y_i(m)**e factors given as (i, m, e) triples."""
         exps: dict[ExponentKey, int] = {}
         for i, m, e in factors:
@@ -90,32 +94,32 @@ class Monomial:
     # -- structure ---------------------------------------------------------
 
     def exponent(self, i: int, m: int) -> int:
-        return self._exps.get((i, m), 0)
-
-    def items(self) -> tuple[tuple[ExponentKey, int], ...]:
-        """Exponents in canonical key order (i ascending, then shift ascending)."""
-        return self._key
+        key = self._key
+        k = bisect_left(key, (i, m))
+        return key[k][2] if k < len(key) and key[k][0] == i and key[k][1] == m else 0
 
     def support(self) -> tuple[ExponentKey, ...]:
-        return tuple(k for k, _ in self._key)
-
-    def is_one(self) -> bool:
-        return not self._exps
+        return tuple((i, m) for i, m, _ in self._key)
 
     def sort_key(self):
         return self._key
 
     # -- ring operations ----------------------------------------------------
 
-    def _merge(self, items: Iterable[tuple[ExponentKey, int]]) -> "Monomial":
-        exps = dict(self._exps)
-        for key, e in items:
-            v = exps.get(key, 0) + e
-            if v:
-                exps[key] = v
+    def _merge(self, triples: Iterable[Triple]) -> "Monomial":
+        """self times each Y_i(m)**e, bisected into a copy of the sorted key."""
+        out = list(self._key)
+        for i, m, e in triples:
+            k = bisect_left(out, (i, m))
+            if k < len(out) and out[k][0] == i and out[k][1] == m:
+                e += out[k][2]
+                if e:
+                    out[k] = (i, m, e)
+                else:
+                    del out[k]
             else:
-                exps.pop(key, None)
-        return Monomial._trusted(self.rank, exps)
+                out.insert(k, (i, m, e))
+        return Monomial._trusted(self.rank, tuple(out))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -125,31 +129,29 @@ class Monomial:
         return self._merge(other._key)
 
     def inv(self) -> "Monomial":
-        return Monomial._trusted(self.rank, {k: -e for k, e in self._exps.items()})
+        return Monomial._trusted(self.rank, tuple((i, m, -e) for i, m, e in self._key))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
             return NotImplemented
         if other.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-        return self._merge((k, -e) for k, e in other._key)
+        return self._merge((i, m, -e) for i, m, e in other._key)
 
     def shifted(self, a: int) -> "Monomial":
         """Translate every shift by a; commutes with the crystal operators."""
-        return Monomial._trusted(self.rank, {(i, m + a): e for (i, m), e in self._exps.items()})
+        return Monomial._trusted(self.rank, tuple((i, m + a, e) for i, m, e in self._key))
 
     def without_row(self, i: int) -> "Monomial":
         """Delete all Y_i exponents (projection onto the rank-lowered subalgebra)."""
         check_index(self.rank, i)
-        return Monomial._trusted(
-            self.rank, {(j, m): e for (j, m), e in self._exps.items() if j != i}
-        )
+        return Monomial._trusted(self.rank, tuple(t for t in self._key if t[0] != i))
 
     # -- crystal structure ---------------------------------------------------
 
     def weight(self) -> Weight:
         sums = [0] * self.rank
-        for (i, _), e in self._exps.items():
+        for i, _, e in self._key:
             sums[i - 1] += e
         return Weight(sums)
 
@@ -157,18 +159,17 @@ class Monomial:
         """(eps_i, phi_i, n_e, n_f); the shifts are meaningful only when the
         corresponding statistic is positive."""
         check_index(self.rank, i)
-        # _key is sorted by (row, shift), so row i is one increasing run of
-        # shifts.  Walk it once, keeping the running prefix sum; the prefix sum
-        # is a virtual 0 just below the run, so the maximum over all of Z is
-        # attained at that point or at a shift of the run.
+        # Row i is the run of _key from bisect_left(key, (i,)) on, in
+        # increasing shift.  Walk it once, keeping the running prefix sum; the
+        # prefix sum is a virtual 0 just below the run, so the maximum over all
+        # of Z is attained at that point or at a shift of the run.
+        key = self._key
         acc = best = 0
         n_f = n_e = last = None
         at_best = False  # whether the latest point attains the running maximum
-        for (j, m), e in self._key:
+        for j, m, e in itertools.islice(key, bisect_left(key, (i,)), None):
             if j != i:
-                if j > i:
-                    break
-                continue
+                break
             if last is None:
                 n_f = m - 1
                 at_best = True
@@ -197,16 +198,14 @@ class Monomial:
         stats = self.string_stats(i)
         if stats.epsilon == 0:
             return None
-        return self._merge(root_monomial_exponents(self.rank, i, stats.n_e).items())
+        return self._merge(_root_triples(self.rank, i, stats.n_e, 1))
 
     def f(self, i: int) -> "Monomial | None":
         """Lowering operator: None when phi_i = 0, else divide by A_i(n_f)."""
         stats = self.string_stats(i)
         if stats.phi == 0:
             return None
-        return self._merge(
-            (k, -e) for k, e in root_monomial_exponents(self.rank, i, stats.n_f).items()
-        )
+        return self._merge(_root_triples(self.rank, i, stats.n_f, -1))
 
     def is_highest_weight(self) -> bool:
         return all(self.string_stats(i).epsilon == 0 for i in range(1, self.rank + 1))
@@ -216,13 +215,12 @@ class Monomial:
     def text(self) -> str:
         if not self._key:
             return "1"
-        parts = []
-        for (i, m), e in self._key:
-            parts.append(f"Y{i}({m})" if e == 1 else f"Y{i}({m})^{e}")
-        return "*".join(parts)
+        return "*".join(
+            f"Y{i}({m})" if e == 1 else f"Y{i}({m})^{e}" for i, m, e in self._key
+        )
 
     def to_json(self) -> list[list[int]]:
-        return [[i, m, e] for (i, m), e in self._key]
+        return [list(t) for t in self._key]
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,25 +243,23 @@ class Monomial:
         return f"Monomial({self.rank}, {self.text()!r})"
 
 
-def root_monomial_exponents(n: int, i: int, m: int) -> dict[ExponentKey, int]:
-    """Exponent map of A_i(m) = Y_i(m) Y_i(m+1) * (neighbour corrections).
+def _root_triples(n: int, i: int, m: int, sign: int) -> tuple[Triple, ...]:
+    """A_i(m)**sign (sign = 1 or -1) as (i, m, e) triples in key order, where
+    A_i(m) = Y_i(m) Y_i(m+1) * (neighbour corrections).
 
     The neighbour below sits at shift m+1 (with a squared inverse when i = n),
     the neighbour above at shift m; rows 0 and n+1 are understood as absent.
     """
-    check_rank(n)
-    check_index(n, i)
-    out = {(i, m): 1, (i, m + 1): 1}
-    if i >= 2:
-        out[(i - 1, m + 1)] = -2 if i == n else -1
-    if i + 1 <= n:
-        out[(i + 1, m)] = -1
-    return out
+    below = ((i - 1, m + 1, -sign * (2 if i == n else 1)),) if i >= 2 else ()
+    above = ((i + 1, m, -sign),) if i < n else ()
+    return below + ((i, m, sign), (i, m + 1, sign)) + above
 
 
 def root_monomial(n: int, i: int, m: int) -> Monomial:
     """A_i(m) as a Monomial; multiplying by it raises the weight by alpha_i."""
-    return Monomial._trusted(n, root_monomial_exponents(n, i, m))
+    check_rank(n)
+    check_index(n, i)
+    return Monomial._trusted(n, _root_triples(n, i, m, 1))
 
 
 # -- X-variables and the fundamental sets M_k(m) -------------------------------
@@ -291,25 +287,13 @@ def x_monomial(n: int, letter: XLetter) -> Monomial:
     check_rank(n)
     v, s = letter.value, letter.shift
     letter_order_index(n, v)  # range check
-    exps: dict[ExponentKey, int] = {}
     if v > 0:
-        exps[(v, s)] = 1
-        if v >= 2:
-            exps[(v - 1, s + 1)] = -1
-    else:
-        i = -v
-        t = s + n - i + 1
-        exps[(i, t)] = -1
-        if i >= 2:
-            exps[(i - 1, t)] = 1
-    return Monomial._trusted(n, exps)
-
-
-def x_word_monomial(n: int, letters: Iterable[XLetter]) -> Monomial:
-    out = Monomial.one(n)
-    for letter in letters:
-        out = out * x_monomial(n, letter)
-    return out
+        below = ((v - 1, s + 1, -1),) if v >= 2 else ()
+        return Monomial._trusted(n, below + ((v, s, 1),))
+    i = -v
+    t = s + n - i + 1
+    below = ((i - 1, t, 1),) if i >= 2 else ()
+    return Monomial._trusted(n, below + ((i, t, -1),))
 
 
 def m_k_words(n: int, k: int, m: int) -> Iterator[tuple[XLetter, ...]]:
@@ -317,6 +301,7 @@ def m_k_words(n: int, k: int, m: int) -> Iterator[tuple[XLetter, ...]]:
     check_rank(n)
     if not 1 <= k <= 2 * n:
         raise ValueError(f"k={k!r} out of range [1, {2 * n}]")
+    check_budget(comb(2 * n, k), f"length {k} at rank {n} walks C({2 * n}, {k}) X-words")
     for combo in itertools.combinations(letter_alphabet(n), k):
         yield tuple(XLetter(v, k + m - 1 - j) for j, v in enumerate(combo))
 
@@ -327,5 +312,6 @@ def m_k_set(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     Distinct X-words can collide in Y-form; identity is always the canonical
     Y-exponent function.  Returned in canonical order.
     """
-    seen = {x_word_monomial(n, word) for word in m_k_words(n, k, m)}
+    one = Monomial.one(n)
+    seen = {prod((x_monomial(n, x) for x in word), start=one) for word in m_k_words(n, k, m)}
     return tuple(sorted(seen))

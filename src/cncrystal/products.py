@@ -29,6 +29,7 @@ from functools import lru_cache
 from .graphs import (
     CrystalInvariantError,
     Decomposition,
+    check_budget,
     decompose_set,
     generate_closure,
 )
@@ -76,7 +77,14 @@ def product_set(spec: ProductSpec) -> tuple[Monomial, ...]:
     components lie inside it and cover it."""
     left = fundamental_crystal(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q, 1)
-    return tuple(sorted({a * b for a in left for b in right}))
+    return tuple(sorted(_products(spec.n, spec.p, spec.q, left, right)))
+
+
+def _products(n: int, p: int, q: int, left, right) -> set[Monomial]:
+    """Every entrywise product, refused up front when there are too many."""
+    size = f"lengths {p} and {q} at rank {n} form {len(left)}*{len(right)} products"
+    check_budget(len(left) * len(right), size)
+    return {a * b for a in left for b in right}
 
 
 def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
@@ -255,8 +263,7 @@ def general_product_decomposition(
     spec = normalize_product_params(n, p, m, q, l)
     left = set(m_k_set(n, p, m))
     right = set(m_k_set(n, q, l))
-    products = {a * b for a in left for b in right}
-    return _decompose_product_set(products, spec), spec
+    return _decompose_product_set(_products(n, p, q, left, right), spec), spec
 
 
 # -- exhaustive verification ----------------------------------------------------

@@ -9,6 +9,7 @@ import cncrystal
 from cncrystal import cli
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError
+from cncrystal.products import product_set
 
 
 def run_cli(capsys, *argv):
@@ -151,6 +152,18 @@ def test_budget_env_var(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
     assert code == 1
     assert "CRYSTAL_VERTEX_BUDGET" in err
+
+
+def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):
+    product_set.cache_clear()
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "1000")
+    code, out, err = run_cli(
+        capsys, "decompose-product", "--rank", "4", "--p", "2", "--q", "3", "--m", "2"
+    )
+    assert code == 1
+    assert out == ""
+    assert "lengths 2 and 3 at rank 4 form 27*48 products" in err
+    assert "vertex budget 1000" in err
 
 
 def test_invariant_errors_exit_2(capsys, monkeypatch):

@@ -1,7 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
+from cncrystal import graphs
+from cncrystal.graphs import VertexBudgetExceeded
 from cncrystal.monomials import (
     Monomial,
     XLetter,
@@ -225,6 +228,15 @@ def test_m_k_set_counts():
     assert m_k_set(2, 4, 7) == (Monomial.one(2),)
 
 
+def test_m_k_set_refuses_over_budget_before_walking_words(monkeypatch):
+    # M_3 at rank 5 walks C(10, 3) = 120 X-words and keeps 110 monomials
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 120)
+    assert len(m_k_set(5, 3, 1)) == 110
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 119)
+    with pytest.raises(VertexBudgetExceeded, match=r"length 3 at rank 5 walks C\(10, 3\)"):
+        m_k_set(5, 3, 1)
+
+
 def test_m_k_set_range_errors():
     with pytest.raises(ValueError):
         m_k_set(2, 0, 1)
@@ -271,3 +283,111 @@ def test_canonical_equality():
 def test_exponent_row_bounds():
     with pytest.raises(ValueError):
         Y(2, (3, 1, 1))
+
+
+# -- the sorted-triple representation, against a reference on exponent maps ---------
+
+
+def canonical(exps):
+    """The to_json() document of an exponent map: nonzero entries in (i, m) order."""
+    return [[i, m, e] for (i, m), e in sorted(exps.items()) if e]
+
+
+def reference_root(n, i, m, sign):
+    out = Counter({(i, m): sign, (i, m + 1): sign})
+    if i >= 2:
+        out[(i - 1, m + 1)] = -sign * (2 if i == n else 1)
+    if i < n:
+        out[(i + 1, m)] = -sign
+    return out
+
+
+def random_factors(rng, n):
+    return [
+        (rng.randint(1, n), rng.randint(-3, 4), rng.choice((-2, -1, 1, 2)))
+        for _ in range(rng.randint(0, 9))
+    ]
+
+
+def assert_matches(mono, exps):
+    expected = canonical(exps)
+    assert mono.to_json() == expected
+    assert mono == Monomial(mono.rank, dict(exps))
+    assert hash(mono) == hash(Monomial(mono.rank, dict(exps)))
+
+
+def test_operations_match_a_counter_reference_on_random_monomials():
+    rng = random.Random(20261018)
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        fa, fb = random_factors(rng, n), random_factors(rng, n)
+        ca, cb = Counter(), Counter()
+        for counter, factors in ((ca, fa), (cb, fb)):
+            for i, m, e in factors:
+                counter[(i, m)] += e
+        a, b = Monomial.from_factors(n, fa), Monomial.from_factors(n, fb)
+        assert_matches(a, ca)
+
+        product, quotient = Counter(ca), Counter(ca)
+        product.update(cb)
+        quotient.subtract(cb)
+        assert_matches(a * b, product)
+        assert_matches(a / b, quotient)
+
+        shift = rng.randint(-4, 4)
+        assert_matches(a.shifted(shift), {(i, m + shift): e for (i, m), e in ca.items()})
+        row = rng.randint(1, n)
+        assert_matches(a.without_row(row), {k: e for k, e in ca.items() if k[0] != row})
+
+        shifts = [m for (_, m) in ca] or [0]
+        for i in range(1, n + 1):
+            for m in range(min(shifts) - 1, max(shifts) + 2):
+                assert a.exponent(i, m) == ca[(i, m)]
+            eps, phi, n_e, n_f = naive_string_stats(a, i)
+            raised, lowered = Counter(ca), Counter(ca)
+            raised.update(reference_root(n, i, n_e, 1) if eps else {})
+            lowered.update(reference_root(n, i, n_f, -1) if phi else {})
+            if eps:
+                assert_matches(a.e(i), raised)
+            else:
+                assert a.e(i) is None
+            if phi:
+                assert_matches(a.f(i), lowered)
+            else:
+                assert a.f(i) is None
+
+
+def test_cancellation_gives_the_canonical_one():
+    for n, factors in [(2, [(1, 1, 1)]), (3, [(1, 0, 2), (2, 1, -1), (3, 1, 1)]),
+                       (5, [(5, 4, -3), (1, -2, 1), (3, 3, 2), (3, 4, -1)])]:
+        y = Y(n, *factors)
+        for one in (y * y.inv(), y / y, y.inv() * y):
+            assert one == Monomial.one(n)
+            assert hash(one) == hash(Monomial.one(n))
+            assert one.to_json() == []
+            assert one.text() == "1"
+    # a partial cancellation keeps the survivors in key order
+    y = Y(3, (1, 1, 1), (2, 1, 1), (3, 1, 1))
+    assert (y / Y(3, (2, 1, 1))).to_json() == [[1, 1, 1], [3, 1, 1]]
+
+
+def test_sorted_order_is_the_json_document_order():
+    rng = random.Random(7)
+    for n in range(2, 6):
+        sample = list({Monomial.from_factors(n, random_factors(rng, n)) for _ in range(300)})
+        assert sorted(sample) == sorted(sample, key=Monomial.to_json)
+        assert [v.to_json() for v in sorted(sample)] == sorted(v.to_json() for v in sample)
+    crystal = m_k_set(4, 2, 1)
+    assert list(crystal) == sorted(crystal, key=Monomial.to_json)
+
+
+def test_exponent_is_zero_at_absent_keys_on_boundaries():
+    mono = Y(3, (1, 5, 1), (2, 0, -1), (2, 2, 3), (3, 2, 2))
+    present = {(1, 5): 1, (2, 0): -1, (2, 2): 3, (3, 2): 2}
+    for (i, m), e in present.items():
+        assert mono.exponent(i, m) == e
+    # past the end of a row, between shifts, before and after the whole key
+    for i, m in [(1, 4), (1, 6), (1, 0), (2, -1), (2, 1), (2, 3), (2, 5),
+                 (3, 1), (3, 3), (1, -100), (3, 100)]:
+        assert mono.exponent(i, m) == 0
+    assert Monomial.one(3).exponent(1, 1) == 0

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from cncrystal import products
-from cncrystal.graphs import CrystalInvariantError, is_closed
+from cncrystal import graphs, products
+from cncrystal.graphs import CrystalInvariantError, VertexBudgetExceeded, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.products import (
     ComponentPrediction,
@@ -85,6 +85,27 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
 
 
 # -- closed forms ------------------------------------------------------------------
+
+
+def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
+    # each factor has 6 elements, so 36 products would be formed
+    assert len(fundamental_crystal(3, 1, 2)) == len(fundamental_crystal(3, 1, 1)) == 6
+    product_set.cache_clear()
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 35)
+
+    def no_products(a, b):
+        raise AssertionError("a product was formed")
+
+    message = r"lengths 1 and 1 at rank 3 form 6\*6 products: 36 exceeds the vertex budget 35"
+    with pytest.raises(VertexBudgetExceeded, match=message):
+        general_product_decomposition(3, 1, 2, 1)
+    # the factors are cached, so building the product set multiplies nothing else
+    monkeypatch.setattr(Monomial, "__mul__", no_products)
+    with pytest.raises(VertexBudgetExceeded, match=message):
+        product_set(ProductSpec(3, 1, 1, 2))
+    monkeypatch.undo()
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 36)
+    assert len(product_set(ProductSpec(3, 1, 1, 2))) <= 36
 
 
 def test_tensor_closed_form_examples():
