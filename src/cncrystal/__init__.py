@@ -12,7 +12,6 @@ from .graphs import (
     CrystalGraph,
     CrystalInvariantError,
     Decomposition,
-    TensorPair,
     VertexBudgetExceeded,
     decompose_set,
     export,
@@ -66,7 +65,6 @@ __all__ = [
     "Monomial",
     "ProductSpec",
     "StringStats",
-    "TensorPair",
     "VerificationReport",
     "VertexBudgetExceeded",
     "Weight",

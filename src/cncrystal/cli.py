@@ -5,7 +5,8 @@ Documents go to stdout (or --output) and always end with a newline; identical
 commands produce byte-identical documents.  Exit status: 0 success, 1 usage
 or resource error, 2 verification mismatch or broken invariant (reported as
 "error: <message>" on stderr).  The environment variable CRYSTAL_VERTEX_BUDGET
-overrides the vertex budget, which also bounds the words and products formed.
+overrides the vertex budget, which also bounds the words and products formed
+and the columns the oracle walks.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import collections
 import json
 import os
 import sys
+from math import comb
 
 from . import graphs
 from .graphs import CrystalInvariantError, VertexBudgetExceeded, export, generate_closure
@@ -121,6 +123,9 @@ def _cmd_decompose_tensor(args) -> tuple[int, str]:
     _require(n >= 2, f"--rank must be >= 2, got {n}")
     _require(1 <= p <= n, f"--p must be in [1, {n}], got {p}")
     _require(1 <= q <= n, f"--q must be in [1, {n}], got {q}")
+    # the column oracle walks every C(2n, length) letter combination
+    for length in (p, q):
+        graphs.check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
     pairs = tensor_decomposition_closed_form(n, p, q)
     predicted = collections.Counter(weight_of_pair(n, a, c).coeffs for a, c in pairs)
     oracle = collections.Counter(
@@ -211,10 +216,7 @@ def main(argv=None) -> int:
         status, document = _COMMANDS[args.command](args)
         _emit(document, args.output)
         return status
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except VertexBudgetExceeded as exc:
+    except (UsageError, VertexBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CrystalInvariantError as exc:

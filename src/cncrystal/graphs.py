@@ -2,8 +2,8 @@
 
 Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
 ``e(i)``, ``f(i)``, ``epsilon(i)``, ``phi(i)``, ``sort_key()``, plus hashing
-and equality.  Monomials, tableau letters/columns and tensor pairs all
-qualify, so closure, component extraction and decomposition are written once.
+and equality.  Monomials and tableau letters/columns both qualify, so
+closure, component extraction and decomposition are written once.
 
 All traversals are breadth-first from seeds sorted by ``sort_key``, so vertex
 order (and every exported document) is deterministic.
@@ -36,12 +36,11 @@ class CrystalInvariantError(RuntimeError):
 class CrystalGraph:
     """Finite crystal graph: ordered vertices plus i-labeled lowering edges."""
 
-    __slots__ = ("rank", "vertices", "index", "edges")
+    __slots__ = ("rank", "vertices", "edges")
 
     def __init__(self, rank: int, vertices: Sequence, edges: Sequence[tuple[int, int, int]]):
         self.rank = rank
         self.vertices = tuple(vertices)
-        self.index = {v: k for k, v in enumerate(self.vertices)}
         self.edges = tuple(edges)
 
     def __len__(self) -> int:
@@ -54,17 +53,17 @@ class CrystalGraph:
         return f"<CrystalGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
 
 
-def generate_closure(seeds: Iterable, budget: int | None = None) -> CrystalGraph:
+def generate_closure(seeds: Iterable) -> CrystalGraph:
     """Smallest set containing the seeds and closed under all e(i), f(i).
 
     Vertex order is the breadth-first discovery order from the sorted seeds;
     edges are exactly the graph of the lowering operators on the closure.
+    A closure growing past DEFAULT_VERTEX_BUDGET vertices is refused.
     """
     seed_list = sorted(set(seeds), key=lambda v: v.sort_key())
     if not seed_list:
         raise ValueError("generate_closure requires at least one seed")
-    if budget is None:
-        budget = DEFAULT_VERTEX_BUDGET
+    budget = DEFAULT_VERTEX_BUDGET
     rank = seed_list[0].rank
     if any(s.rank != rank for s in seed_list):
         raise ValueError("all closure seeds must share one rank")
@@ -208,76 +207,6 @@ def decompose_set(elements: Iterable) -> Decomposition:
     if seen != elems:
         raise ValueError(_NOT_CLOSED)
     return Decomposition(comps)
-
-
-class TensorPair:
-    """Ordered pair u (x) v with the standard tensor-product crystal structure."""
-
-    __slots__ = ("left", "right", "_hash")
-
-    def __init__(self, left, right):
-        if left is None or right is None:
-            raise ValueError("tensor factors must be elements, not None")
-        if left.rank != right.rank:
-            raise ValueError("tensor factors must share a rank")
-        self.left = left
-        self.right = right
-        self._hash = hash((TensorPair, left, right))
-
-    @property
-    def rank(self) -> int:
-        return self.left.rank
-
-    def weight(self):
-        return self.left.weight() + self.right.weight()
-
-    def epsilon(self, i: int) -> int:
-        return max(
-            self.left.epsilon(i),
-            self.right.epsilon(i) - self.left.weight().pairing(i),
-        )
-
-    def phi(self, i: int) -> int:
-        return max(
-            self.right.phi(i),
-            self.left.phi(i) + self.right.weight().pairing(i),
-        )
-
-    def e(self, i: int) -> "TensorPair | None":
-        if self.left.phi(i) >= self.right.epsilon(i):
-            up = self.left.e(i)
-            return None if up is None else TensorPair(up, self.right)
-        up = self.right.e(i)
-        return None if up is None else TensorPair(self.left, up)
-
-    def f(self, i: int) -> "TensorPair | None":
-        if self.left.phi(i) > self.right.epsilon(i):
-            down = self.left.f(i)
-            return None if down is None else TensorPair(down, self.right)
-        down = self.right.f(i)
-        return None if down is None else TensorPair(self.left, down)
-
-    def sort_key(self):
-        return (self.left.sort_key(), self.right.sort_key())
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorPair)
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "TensorPair") -> bool:
-        return self.sort_key() < other.sort_key()
-
-    def __str__(self) -> str:
-        return f"{self.left}(x){self.right}"
-
-    def __repr__(self) -> str:
-        return f"TensorPair({self.left!r}, {self.right!r})"
 
 
 def to_dot(graph: CrystalGraph) -> str:

@@ -52,9 +52,10 @@ class Monomial:
         clean: dict[ExponentKey, int] = {}
         for (i, m), e in exponents.items():
             check_index(rank, i)
-            e = int(e)
+            if not (isinstance(m, int) and isinstance(e, int)):
+                raise ValueError(f"Y_{i}({m!r})^{e!r}: shift and exponent must be integers")
             if e:
-                clean[(i, int(m))] = e
+                clean[(i, m)] = e
         self.rank = rank
         self._key = tuple(sorted((i, m, e) for (i, m), e in clean.items()))
         self._hash = hash((rank, self._key))
@@ -76,11 +77,7 @@ class Monomial:
     @classmethod
     def generator(cls, rank: int, i: int, m: int, exponent: int = 1) -> "Monomial":
         """Y_i(m)**exponent."""
-        check_rank(rank)
-        check_index(rank, i)
-        if exponent == 0:
-            return cls.one(rank)
-        return cls._trusted(rank, ((i, int(m), int(exponent)),))
+        return cls(rank, {(i, m): exponent})
 
     @classmethod
     def from_factors(cls, rank: int, factors: Iterable[Triple]) -> "Monomial":

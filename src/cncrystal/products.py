@@ -58,7 +58,10 @@ class ProductSpec:
 @lru_cache(maxsize=256)
 def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     """Connected component of Y_k(m): the monomial model of the k-th
-    fundamental crystal, cross-checked against the X-word enumeration."""
+    fundamental crystal, cross-checked against the X-word enumeration.
+
+    A cache hit forms no new elements, so it needs no budget check; a miss is
+    bounded by the closure and the word enumeration."""
     check_rank(n)
     check_index(n, k, "k")
     graph = generate_closure([Monomial.generator(n, k, m)])
@@ -70,14 +73,13 @@ def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     return closure
 
 
-@lru_cache(maxsize=8)
-def product_set(spec: ProductSpec) -> tuple[Monomial, ...]:
-    """All entrywise products, deduplicated and sorted.  The set is proven
-    operator-closed when it is decomposed: decompose_set checks that its
-    components lie inside it and cover it."""
+def product_set(spec: ProductSpec) -> set[Monomial]:
+    """All entrywise products, formed (and checked against the budget) on
+    every call.  The set is proven operator-closed when it is decomposed:
+    decompose_set checks that its components lie inside it and cover it."""
     left = fundamental_crystal(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q, 1)
-    return tuple(sorted(_products(spec.n, spec.p, spec.q, left, right)))
+    return _products(spec.n, spec.p, spec.q, left, right)
 
 
 def _products(n: int, p: int, q: int, left, right) -> set[Monomial]:

@@ -6,10 +6,9 @@ from pathlib import Path
 import pytest
 
 import cncrystal
-from cncrystal import cli
+from cncrystal import cli, tableaux
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError
-from cncrystal.products import product_set
 
 
 def run_cli(capsys, *argv):
@@ -155,7 +154,6 @@ def test_budget_env_var(capsys, monkeypatch):
 
 
 def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):
-    product_set.cache_clear()
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "1000")
     code, out, err = run_cli(
         capsys, "decompose-product", "--rank", "4", "--p", "2", "--q", "3", "--m", "2"
@@ -164,6 +162,24 @@ def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):
     assert out == ""
     assert "lengths 2 and 3 at rank 4 form 27*48 products" in err
     assert "vertex budget 1000" in err
+
+
+def test_budget_refuses_the_column_oracle_before_any_column(capsys, monkeypatch):
+    def no_columns(n, length):
+        raise AssertionError("a column crystal was built")
+
+    monkeypatch.setattr(tableaux, "column_crystal", no_columns)
+    # C(8, 2) = 28 columns of length 2 fit, C(8, 3) = 56 of length 3 do not
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "55")
+    code, out, err = run_cli(capsys, "decompose-tensor", "--rank", "4", "--p", "2", "--q", "3")
+    assert code == 1
+    assert out == ""
+    assert "columns of length 3 at rank 4: 56 exceeds the vertex budget 55" in err
+    monkeypatch.undo()
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "56")
+    code, out, _ = run_cli(capsys, "decompose-tensor", "--rank", "4", "--p", "2", "--q", "3")
+    assert code == 0
+    assert out.endswith("oracle-agreement=true\n")
 
 
 def test_invariant_errors_exit_2(capsys, monkeypatch):

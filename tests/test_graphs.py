@@ -2,8 +2,8 @@ import json
 
 import pytest
 
+from cncrystal import graphs
 from cncrystal.graphs import (
-    TensorPair,
     VertexBudgetExceeded,
     decompose_set,
     export,
@@ -13,6 +13,7 @@ from cncrystal.graphs import (
 from cncrystal.monomials import Monomial
 from cncrystal.rootdata import Weight
 from cncrystal.tableaux import Letter
+from tensor_reference import TensorPair
 
 
 def test_closure_rank2_path():
@@ -36,9 +37,10 @@ def test_closure_of_identity_monomial():
     assert g.edges == ()
 
 
-def test_closure_budget():
-    with pytest.raises(VertexBudgetExceeded):
-        generate_closure([Monomial.generator(5, 3, 1)], budget=10)
+def test_closure_budget(monkeypatch):
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 10)
+    with pytest.raises(VertexBudgetExceeded, match="vertex budget 10 exceeded"):
+        generate_closure([Monomial.generator(5, 3, 1)])
 
 
 def test_closure_requires_seeds():

@@ -285,6 +285,23 @@ def test_exponent_row_bounds():
         Y(2, (3, 1, 1))
 
 
+def test_non_integer_shifts_and_exponents_are_rejected():
+    with pytest.raises(ValueError, match=r"Y_1\(1\.5\)\^1: shift and exponent must be integers"):
+        Monomial(2, {(1, 1): 1, (1, 1.5): 1})
+    with pytest.raises(ValueError, match=r"Y_1\(1\)\^1\.9"):
+        Monomial(2, {(1, 1): 1.9})
+    with pytest.raises(ValueError, match=r"Y_2\(0\.5\)\^1"):
+        Monomial.from_factors(2, [(2, 0.5, 1)])
+    # exponents summing to a whole float are still not integers
+    with pytest.raises(ValueError, match=r"Y_1\(1\)\^1\.0"):
+        Monomial.from_factors(2, [(1, 1, 0.5), (1, 1, 0.5)])
+    with pytest.raises(ValueError, match=r"Y_1\(1\.5\)\^1"):
+        Monomial.generator(2, 1, 1.5)
+    with pytest.raises(ValueError, match=r"Y_1\(1\)\^2\.5"):
+        Monomial.generator(2, 1, 1, 2.5)
+    assert Monomial.generator(2, 1, 1, 0) == Monomial.one(2)
+
+
 # -- the sorted-triple representation, against a reference on exponent maps ---------
 
 

@@ -52,9 +52,8 @@ def test_product_set_sizes_rank2():
     assert set(formed) == set(product_set(ProductSpec(2, 1, 1, 1)))
 
 
-def test_product_set_is_closed_and_sorted():
+def test_product_set_is_closed():
     elements = product_set(ProductSpec(3, 2, 2, 2))
-    assert list(elements) == sorted(elements)
     assert is_closed(elements)
 
 
@@ -77,7 +76,9 @@ def test_bruteforce_left_factor_witnesses():
 
 def test_bruteforce_rejects_an_open_product_set(monkeypatch):
     spec = ProductSpec(2, 1, 1, 2)
-    truncated = product_set(spec)[1:]
+    # no component of this set is a single element, so dropping any one leaves it open
+    truncated = product_set(spec)
+    truncated.pop()
     monkeypatch.setattr(products, "product_set", lambda _spec: truncated)
     with pytest.raises(CrystalInvariantError, match="is not operator-closed") as info:
         decompose_product_bruteforce(spec)
@@ -90,7 +91,6 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
 def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
     # each factor has 6 elements, so 36 products would be formed
     assert len(fundamental_crystal(3, 1, 2)) == len(fundamental_crystal(3, 1, 1)) == 6
-    product_set.cache_clear()
     monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 35)
 
     def no_products(a, b):
@@ -106,6 +106,14 @@ def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
     monkeypatch.undo()
     monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 36)
     assert len(product_set(ProductSpec(3, 1, 1, 2))) <= 36
+
+
+def test_a_repeated_product_set_is_checked_against_the_budget_again(monkeypatch):
+    spec = ProductSpec(3, 1, 1, 2)
+    assert len(product_set(spec)) == 35
+    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 35)
+    with pytest.raises(VertexBudgetExceeded, match="36 exceeds the vertex budget 35"):
+        product_set(spec)
 
 
 def test_tensor_closed_form_examples():

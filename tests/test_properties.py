@@ -5,7 +5,7 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from cncrystal.graphs import TensorPair, decompose_set, generate_closure, is_closed
+from cncrystal.graphs import decompose_set, generate_closure, is_closed
 from cncrystal.monomials import Monomial, m_k_set
 from cncrystal.products import (
     ProductSpec,
@@ -16,6 +16,7 @@ from cncrystal.products import (
 )
 from cncrystal.rootdata import simple_root
 from cncrystal.tableaux import tensor_highest_weights
+from tensor_reference import TensorPair
 
 
 @st.composite

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from cncrystal import monomials, tableaux
-from cncrystal.graphs import TensorPair, generate_closure, is_closed
+from cncrystal.graphs import generate_closure, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.rootdata import Weight, letter_alphabet
 from cncrystal.tableaux import (
@@ -18,6 +18,7 @@ from cncrystal.tableaux import (
     letter_crystal,
     tensor_highest_weights,
 )
+from tensor_reference import TensorPair
 
 
 def test_letter_lowering_path():
