@@ -1,12 +1,13 @@
 """Generic machinery for finite crystals.
 
 Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
-``e(i)``, ``f(i)``, ``epsilon(i)``, ``phi(i)``, ``sort_key()``, plus hashing
-and equality.  Monomials and tableau letters/columns both qualify, so
-closure, component extraction and decomposition are written once.
+``e(i)``, ``f(i)``, ``sort_key()``, plus hashing and equality.  Monomials and
+tableau letters/columns both qualify, so closure and decomposition are
+written once.
 
-All traversals are breadth-first from seeds sorted by ``sort_key``, so vertex
-order (and every exported document) is deterministic.
+Closure is breadth-first from seeds sorted by ``sort_key``, and components
+are ordered by their witnesses' ``sort_key``, so vertex order, component
+order and every exported document are deterministic.
 """
 
 from __future__ import annotations
@@ -139,9 +140,6 @@ class Decomposition:
     def total_size(self) -> int:
         return sum(c.size for c in self.components)
 
-    def weights(self) -> tuple:
-        return tuple(c.weight for c in self.components)
-
     def weight_multiset(self) -> Counter:
         return Counter(c.weight.coeffs for c in self.components)
 
@@ -166,46 +164,48 @@ class Decomposition:
         return f"<Decomposition {inner or '(empty)'}>"
 
 
-_NOT_CLOSED = "decompose_set requires a set closed under e and f"
-
-
 def decompose_set(elements: Iterable) -> Decomposition:
-    """Split a finite closed set into connected components.
+    """Split a finite set closed under every e(i) and f(i) into components.
 
-    Every component of a closed set of semi-normal elements contains exactly
-    one highest-weight element (all eps_i = 0), which labels it by a dominant
-    weight; the components must partition the set, and any failure of that is
-    an error rather than a result.
-
-    Closedness needs no separate pass: each component is an operator closure,
-    so when every component lies inside the set and together they cover it,
-    the set is a union of closed sets and hence closed.  A set failing either
-    check is not closed, which raises ValueError.
+    One breadth-first walk per component follows every e(i) and f(i) image,
+    which proves the set closed: an image outside it raises ValueError.  The
+    walk raises CrystalInvariantError when it enters an earlier component,
+    when a component holds other than one highest-weight element (all e(i)
+    None), or when that element's weight is not dominant.  A set argument is
+    walked as is; witnesses are ordered by sort_key.
     """
-    elems = set(elements)
-    if not elems:
-        return Decomposition(())
-    rank = next(iter(elems)).rank
-    highest = sorted(
-        (v for v in elems if all(v.epsilon(i) == 0 for i in range(1, rank + 1))),
-        key=lambda v: v.sort_key(),
-    )
-    seen: set = set()
+    elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
+    owner: dict = {}
     comps = []
-    for h in highest:
-        graph = generate_closure([h])
-        members = set(graph.vertices)
-        if not members <= elems:
-            raise ValueError(_NOT_CLOSED)
-        if members & seen:
-            raise CrystalInvariantError("components are not pairwise disjoint")
-        seen |= members
-        weight = h.weight()
+    for start in elems:
+        if start in owner:
+            continue
+        label = len(comps)
+        owner[start] = label
+        walk, highest = [start], []
+        for v in walk:
+            top = True
+            for i in range(1, v.rank + 1):
+                up = v.e(i)
+                if up is not None:
+                    top = False
+                for w in (up, v.f(i)):
+                    if w is not None and owner.get(w) != label:
+                        if w in owner:
+                            raise CrystalInvariantError("components are not pairwise disjoint")
+                        if w not in elems:
+                            raise ValueError("decompose_set requires a set closed under e and f")
+                        owner[w] = label
+                        walk.append(w)
+            if top:
+                highest.append(v)
+        if len(highest) != 1:
+            raise CrystalInvariantError(f"a component holds {len(highest)} highest-weight elements")
+        weight = highest[0].weight()
         if not weight.is_dominant():
             raise CrystalInvariantError(f"highest weight {weight} is not dominant")
-        comps.append(Component(weight, len(members), h))
-    if seen != elems:
-        raise ValueError(_NOT_CLOSED)
+        comps.append(Component(weight, len(walk), highest[0]))
+    comps.sort(key=lambda c: c.witness.sort_key())
     return Decomposition(comps)
 
 

@@ -5,8 +5,8 @@ not a tensor product.  Such a product set is again closed under the crystal
 operators and splits into irreducibles; this module computes that splitting
 two ways and compares:
 
-  * brute force: build the product set, find its highest-weight elements,
-    grow their components;
+  * brute force: build the product set and split it into components in one
+    walk, which also proves it closed;
   * closed form: the arithmetic rule predicting which dominant weights
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
 
@@ -76,7 +76,7 @@ def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
 def product_set(spec: ProductSpec) -> set[Monomial]:
     """All entrywise products, formed (and checked against the budget) on
     every call.  The set is proven operator-closed when it is decomposed:
-    decompose_set checks that its components lie inside it and cover it."""
+    decompose_set's walk finds every operator image inside it."""
     left = fundamental_crystal(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q, 1)
     return _products(spec.n, spec.p, spec.q, left, right)
@@ -101,7 +101,7 @@ def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
-    """Decompose the product set by closure from its highest-weight elements.
+    """Decompose the product set by one walk over its components.
 
     Also checks the structural fact that every highest-weight product splits
     off the left factor Y_p(m): dividing a witness by it must land in the

@@ -73,8 +73,11 @@ class Weight:
     __slots__ = ("coeffs", "_hash")
 
     def __init__(self, coeffs: Iterable[int]):
-        self.coeffs = tuple(int(c) for c in coeffs)
+        self.coeffs = tuple(coeffs)
         check_rank(len(self.coeffs))
+        for c in self.coeffs:
+            if not isinstance(c, int):
+                raise ValueError(f"weight coefficient {c!r} must be an integer")
         self._hash = hash(self.coeffs)
 
     @property
@@ -97,7 +100,7 @@ class Weight:
 
     @classmethod
     def from_epsilon(cls, eps: Iterable[int]) -> "Weight":
-        eps = tuple(int(e) for e in eps)
+        eps = tuple(eps)
         n = len(eps)
         check_rank(n)
         return cls(tuple(eps[i] - (eps[i + 1] if i + 1 < n else 0) for i in range(n)))
@@ -132,9 +135,6 @@ class Weight:
     def __sub__(self, other: "Weight") -> "Weight":
         self._check_same_rank(other)
         return Weight(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coeffs))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Weight) and self.coeffs == other.coeffs

@@ -108,7 +108,7 @@ class Column:
 
     def __init__(self, rank: int, letters: Iterable[int]):
         check_rank(rank)
-        letters = tuple(int(v) for v in letters)
+        letters = tuple(letters)
         if not letters:
             raise ValueError("a column needs at least one letter")
         for v in letters:
@@ -116,9 +116,6 @@ class Column:
         self.rank = rank
         self.letters = letters
         self._hash = hash((Column, rank, letters))
-
-    def __len__(self) -> int:
-        return len(self.letters)
 
     def is_strictly_increasing(self) -> bool:
         idx = [letter_order_index(self.rank, v) for v in self.letters]

@@ -4,6 +4,7 @@ import pytest
 
 from cncrystal import graphs
 from cncrystal.graphs import (
+    CrystalInvariantError,
     VertexBudgetExceeded,
     decompose_set,
     export,
@@ -112,6 +113,104 @@ def test_decomposition_comparison_ignores_witnesses():
     pairs = [TensorPair(a, b) for a in left for b in right]
     d2 = decompose_set(pairs)
     assert d1 == d2  # same weights and sizes, entirely different witnesses
+
+
+def test_decompose_orders_repeated_constituents_by_witness():
+    factors = [generate_closure([Monomial.generator(2, 1, m)]).vertices for m in (3, 2, 1)]
+    products = {a * b * c for a in factors[0] for b in factors[1] for c in factors[2]}
+    repeated = [c for c in decompose_set(products) if c.weight == Weight((1, 1))]
+    assert [(c.size, str(c.witness)) for c in repeated] == [
+        (16, "Y1(1)*Y2(2)"),
+        (16, "Y1(3)*Y2(1)"),
+    ]
+
+
+class Toy:
+    """Element of a hand-made rank-2 crystal: name -> (e table, f table, weight)."""
+
+    rank = 2
+
+    def __init__(self, table, name):
+        self.table, self.name = table, name
+
+    def _image(self, which, i):
+        target = self.table[self.name][which].get(i)
+        return None if target is None else Toy(self.table, target)
+
+    def e(self, i):
+        return self._image(0, i)
+
+    def f(self, i):
+        return self._image(1, i)
+
+    def weight(self):
+        return Weight(self.table[self.name][2])
+
+    def sort_key(self):
+        return self.name
+
+    def __eq__(self, other):
+        return self.name == other.name
+
+    def __hash__(self):
+        return ord(self.name)  # the same set order in every process
+
+
+def toy_set(table):
+    return {Toy(table, name) for name in table}
+
+
+def test_decompose_toy_crystal():
+    # CPython iterates this set as h, a, b, c; equal constituents still come
+    # out ordered by witness
+    table = {
+        "a": ({}, {1: "b"}, (1, 0)),
+        "b": ({1: "a"}, {}, (-1, 1)),
+        "c": ({}, {}, (0, 0)),
+        "h": ({}, {}, (0, 0)),
+    }
+    dec = decompose_set(toy_set(table))
+    assert [(c.weight.coeffs, c.size, c.witness.name) for c in dec] == [
+        ((0, 0), 1, "c"),
+        ((0, 0), 1, "h"),
+        ((1, 0), 2, "a"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # two highest-weight elements a and b joined through c
+        (
+            {
+                "a": ({}, {1: "c"}, (1, 0)),
+                "b": ({}, {2: "c"}, (0, 1)),
+                "c": ({1: "a", 2: "b"}, {}, (0, 0)),
+            },
+            "holds 2 highest-weight elements",
+        ),
+        # a closed 2-cycle: no element is highest weight
+        (
+            {"a": ({1: "b"}, {1: "b"}, (0, 0)), "b": ({1: "a"}, {1: "a"}, (0, 0))},
+            "holds 0 highest-weight elements",
+        ),
+        ({"a": ({}, {}, (-1, 0))}, "is not dominant"),
+        # f_2(b) = c but e_2(c) is None: a walk from a or c leaves b out and
+        # b's walk enters their component; a walk from b finds a and b
+        (
+            {
+                "a": ({}, {1: "c"}, (1, 0)),
+                "b": ({}, {2: "c"}, (0, 1)),
+                "c": ({1: "a"}, {}, (-1, 1)),
+            },
+            "not pairwise disjoint|holds 2 highest-weight elements",
+        ),
+    ],
+    ids=["two-highest-weights", "closed-cycle", "non-dominant", "not-partial-inverses"],
+)
+def test_decompose_rejects_broken_crystals(table, message):
+    with pytest.raises(CrystalInvariantError, match=message):
+        decompose_set(toy_set(table))
 
 
 # -- tensor rule --------------------------------------------------------------------

@@ -102,3 +102,11 @@ def test_weight_text_and_json():
 
 def test_fundamental_zero_convention():
     assert Weight.fundamental(4, 0) == Weight.zero(4)
+
+
+def test_non_integer_coefficients_are_rejected():
+    with pytest.raises(ValueError, match=r"weight coefficient 1\.5 must be an integer"):
+        Weight([1.5, -0.5])
+    with pytest.raises(ValueError, match="must be an integer"):
+        Weight.from_epsilon([1.9, 0.2])
+    assert Weight.from_epsilon([2, 1]) == Weight((1, 1))

@@ -61,6 +61,13 @@ def test_column_admissibility_requires_increasing():
         column_is_admissible(Column(2, (2, 1)))
 
 
+def test_column_rejects_non_integer_letters():
+    with pytest.raises(ValueError, match=r"letter value 1\.7"):
+        Column(2, [1.7, 2.2])
+    with pytest.raises(ValueError, match="letter value '1'"):
+        Column(2, ["1"])
+
+
 def test_column_crystal_rank2():
     cols = column_crystal(2, 2)
     assert {c.letters for c in cols} == {
