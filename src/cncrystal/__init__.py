@@ -47,7 +47,6 @@ from .products import (
 from .rootdata import Weight, cartan_entry, cartan_matrix, simple_root
 from .tableaux import (
     Column,
-    Letter,
     column_crystal,
     column_is_admissible,
     letter_crystal,
@@ -61,7 +60,6 @@ __all__ = [
     "CrystalGraph",
     "CrystalInvariantError",
     "Decomposition",
-    "Letter",
     "Monomial",
     "ProductSpec",
     "StringStats",

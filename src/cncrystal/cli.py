@@ -86,9 +86,12 @@ def _require(condition: bool, message: str) -> None:
 def _emit(document: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(document)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(document)
+    except OSError as exc:
+        raise UsageError(f"--output {output}: {exc.strerror}") from None
 
 
 def _cmd_graph(args) -> tuple[int, str]:

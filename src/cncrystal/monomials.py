@@ -32,6 +32,7 @@ from .rootdata import (
     Weight,
     check_index,
     check_rank,
+    is_int,
     letter_alphabet,
     letter_order_index,
 )
@@ -52,7 +53,7 @@ class Monomial:
         clean: dict[ExponentKey, int] = {}
         for (i, m), e in exponents.items():
             check_index(rank, i)
-            if not (isinstance(m, int) and isinstance(e, int)):
+            if not (is_int(m) and is_int(e)):
                 raise ValueError(f"Y_{i}({m!r})^{e!r}: shift and exponent must be integers")
             if e:
                 clean[(i, m)] = e

@@ -34,7 +34,7 @@ from .graphs import (
     generate_closure,
 )
 from .monomials import Monomial, m_k_set
-from .rootdata import Weight, check_index, check_rank
+from .rootdata import Weight, check_index, check_rank, is_int
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ProductSpec:
         check_rank(self.n)
         check_index(self.n, self.p, "p")
         check_index(self.n, self.q, "q")
-        if not isinstance(self.m, int) or self.m < 1:
+        if not is_int(self.m) or self.m < 1:
             raise ValueError(f"m={self.m!r} must be an integer >= 1")
 
 
@@ -326,8 +326,8 @@ def verify_range(n_max: int, m_max: int) -> VerificationReport:
     """Compare brute force against the closed form on every cell
     2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
     check_rank(n_max)
-    if m_max < 1:
-        raise ValueError(f"m_max={m_max!r} must be >= 1")
+    if not is_int(m_max) or m_max < 1:
+        raise ValueError(f"m_max={m_max!r} must be an integer >= 1")
     start = time.perf_counter()
     cells = []
     for n in range(2, n_max + 1):

@@ -1,19 +1,19 @@
 """Kashiwara-Nakashima column model for type C_n.
 
 Letters are the 2n symbols 1 < 2 < ... < n < nbar < ... < 2bar < 1bar,
-encoded as signed integers (+i unbarred, -i barred).  The letter crystal is
-the 2n-vertex path
+encoded as signed integers (+i unbarred, -i barred).  A letter is a one-box
+column, and the letter crystal of one-box columns is the 2n-vertex path
 
     1 -1-> 2 -2-> ... -(n-1)-> n -n-> nbar -(n-1)-> ... -2-> 2bar -1-> 1bar,
 
-and a column [i_1 < ... < i_N] carries the crystal structure of the word
-[i_1] (x) ... (x) [i_N] in Kashiwara's tensor convention.  It is read off by
-the signature rule: going down the column, write - for each letter with
-eps_i = 1 and + for each letter with phi_i = 1, and let every + cancel the
-nearest free - below it.  Then eps_i counts the free -, phi_i the free +,
-e_i raises the lowest free - and f_i lowers the highest free +.  Admissible
-columns (the one-column condition below) realize the fundamental crystal of
-highest weight L_N.
+whose arrows are read off the integers themselves.  A column [i_1 < ... < i_N]
+carries the crystal structure of the word [i_1] (x) ... (x) [i_N] in
+Kashiwara's tensor convention.  It is read off by the signature rule: going
+down the column, write - for each letter with eps_i = 1 and + for each letter
+with phi_i = 1, and let every + cancel the nearest free - below it.  Then
+eps_i counts the free -, phi_i the free +, e_i raises the lowest free - and
+f_i lowers the highest free +.  Admissible columns (the one-column condition
+below) realize the fundamental crystal of highest weight L_N.
 
 This model is the independent oracle for tensor-product decompositions: it
 imports only the root data and never touches the monomial realization.
@@ -33,72 +33,26 @@ from .rootdata import (
 )
 
 
-class Letter:
-    """One box of the vector-representation crystal; value +i or -i."""
+def _lowered(n: int, v: int, i: int) -> int | None:
+    """f_i on the letter v: its successor on the letter-crystal path, or None."""
+    if i < n:
+        if v == i:
+            return i + 1
+        if v == -(i + 1):
+            return -i
+        return None
+    return -n if v == n else None
 
-    __slots__ = ("rank", "value", "_hash")
 
-    def __init__(self, rank: int, value: int):
-        check_rank(rank)
-        letter_order_index(rank, value)  # range check
-        self.rank = rank
-        self.value = value
-        self._hash = hash((Letter, rank, value))
-
-    def order_index(self) -> int:
-        return letter_order_index(self.rank, self.value)
-
-    def weight(self) -> Weight:
-        eps = [0] * self.rank
-        eps[abs(self.value) - 1] = 1 if self.value > 0 else -1
-        return Weight.from_epsilon(eps)
-
-    def f(self, i: int) -> "Letter | None":
-        check_index(self.rank, i)
-        n, v = self.rank, self.value
-        if i < n:
-            if v == i:
-                return Letter(n, i + 1)
-            if v == -(i + 1):
-                return Letter(n, -i)
-            return None
-        return Letter(n, -n) if v == n else None
-
-    def e(self, i: int) -> "Letter | None":
-        check_index(self.rank, i)
-        n, v = self.rank, self.value
-        if i < n:
-            if v == i + 1:
-                return Letter(n, i)
-            if v == -i:
-                return Letter(n, -(i + 1))
-            return None
-        return Letter(n, n) if v == -n else None
-
-    def epsilon(self, i: int) -> int:
-        return 0 if self.e(i) is None else 1
-
-    def phi(self, i: int) -> int:
-        return 0 if self.f(i) is None else 1
-
-    def sort_key(self):
-        return (self.order_index(),)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Letter) and self.rank == other.rank and self.value == other.value
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __lt__(self, other: "Letter") -> bool:
-        return self.order_index() < other.order_index()
-
-    def __str__(self) -> str:
-        v = self.value
-        return str(v) if v > 0 else f"{-v}̄"
-
-    def __repr__(self) -> str:
-        return f"Letter({self.rank}, {self.value})"
+def _raised(n: int, v: int, i: int) -> int | None:
+    """e_i on the letter v: its predecessor on the letter-crystal path, or None."""
+    if i < n:
+        if v == i + 1:
+            return i
+        if v == -i:
+            return -(i + 1)
+        return None
+    return n if v == -n else None
 
 
 class Column:
@@ -117,10 +71,6 @@ class Column:
         self.letters = letters
         self._hash = hash((Column, rank, letters))
 
-    def is_strictly_increasing(self) -> bool:
-        idx = [letter_order_index(self.rank, v) for v in self.letters]
-        return all(a < b for a, b in zip(idx, idx[1:]))
-
     def weight(self) -> Weight:
         eps = [0] * self.rank
         for v in self.letters:
@@ -129,23 +79,23 @@ class Column:
 
     def _signature(self, i: int) -> tuple[list[int], list[int]]:
         """Positions of the free - and of the free + in the i-signature, top down."""
-        check_index(self.rank, i)
+        n = self.rank
+        check_index(n, i)
         minus: list[int] = []
         plus: list[int] = []
         for pos, v in enumerate(self.letters):
-            letter = Letter(self.rank, v)
-            if letter.epsilon(i):
+            if _raised(n, v, i) is not None:
                 if plus:
                     plus.pop()
                 else:
                     minus.append(pos)
-            elif letter.phi(i):
+            elif _lowered(n, v, i) is not None:
                 plus.append(pos)
         return minus, plus
 
-    def _replace(self, pos: int, letter: Letter) -> "Column":
+    def _replace(self, pos: int, value: int) -> "Column":
         letters = self.letters
-        return Column(self.rank, letters[:pos] + (letter.value,) + letters[pos + 1:])
+        return Column(self.rank, letters[:pos] + (value,) + letters[pos + 1:])
 
     def epsilon(self, i: int) -> int:
         return len(self._signature(i)[0])
@@ -158,14 +108,14 @@ class Column:
         if not minus:
             return None
         pos = minus[-1]
-        return self._replace(pos, Letter(self.rank, self.letters[pos]).e(i))
+        return self._replace(pos, _raised(self.rank, self.letters[pos], i))
 
     def f(self, i: int) -> "Column | None":
         _, plus = self._signature(i)
         if not plus:
             return None
         pos = plus[0]
-        return self._replace(pos, Letter(self.rank, self.letters[pos]).f(i))
+        return self._replace(pos, _lowered(self.rank, self.letters[pos], i))
 
     def is_highest_weight(self) -> bool:
         return all(self.epsilon(i) == 0 for i in range(1, self.rank + 1))
@@ -190,7 +140,7 @@ class Column:
         return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(Letter(self.rank, v)) for v in self.letters) + "]"
+        return "[" + ",".join(str(v) if v > 0 else f"{-v}̄" for v in self.letters) + "]"
 
     def __repr__(self) -> str:
         return f"Column({self.rank}, {self.letters})"
@@ -200,7 +150,8 @@ def column_is_admissible(column: Column) -> bool:
     """One-column condition: with i_k = p and i_l = pbar both present,
     the count k + (N - l + 1) of boxes weakly above p and weakly below pbar
     may not exceed p."""
-    if not column.is_strictly_increasing():
+    key = column.sort_key()
+    if any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError("admissibility is defined for strictly increasing columns")
     letters = column.letters
     positions = {v: k for k, v in enumerate(letters, start=1)}
@@ -231,9 +182,10 @@ def column_crystal(n: int, length: int) -> tuple[Column, ...]:
     return tuple(sorted(out, key=Column.sort_key))
 
 
-def letter_crystal(n: int) -> tuple[Letter, ...]:
+def letter_crystal(n: int) -> tuple[Column, ...]:
+    """The 2n one-box columns: the crystal of the vector representation, B(L_1)."""
     check_rank(n)
-    return tuple(Letter(n, v) for v in letter_alphabet(n))
+    return tuple(Column(n, (v,)) for v in letter_alphabet(n))
 
 
 def tensor_highest_weights(

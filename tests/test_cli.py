@@ -208,6 +208,17 @@ def test_output_file(tmp_path, capsys):
     assert text.startswith("digraph crystal {") and text.endswith("}\n")
 
 
+def test_unwritable_output_exits_1_naming_the_flag(tmp_path, capsys):
+    # a directory, and a file in a directory that does not exist
+    for target in (tmp_path, tmp_path / "missing" / "graph.dot"):
+        code, out, err = run_cli(
+            capsys, "graph", "--rank", "2", "--k", "1", "--output", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: --output {target}: ")
+
+
 def test_documents_are_byte_deterministic(capsys):
     examples = [
         ["graph", "--rank", "2", "--k", "1", "--m", "1", "--format", "dot"],

@@ -13,7 +13,7 @@ from cncrystal.graphs import (
 )
 from cncrystal.monomials import Monomial
 from cncrystal.rootdata import Weight
-from cncrystal.tableaux import Letter
+from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
 
 
@@ -217,7 +217,7 @@ def test_decompose_rejects_broken_crystals(table, message):
 
 
 def box(n, v):
-    return Letter(n, v)
+    return Column(n, (v,))
 
 
 def test_tensor_f_acts_left_on_equal_boxes():

@@ -299,6 +299,14 @@ def test_non_integer_shifts_and_exponents_are_rejected():
         Monomial.generator(2, 1, 1.5)
     with pytest.raises(ValueError, match=r"Y_1\(1\)\^2\.5"):
         Monomial.generator(2, 1, 1, 2.5)
+    with pytest.raises(ValueError, match=r"Y_1\(True\)\^1: shift and exponent must be integers"):
+        Monomial(2, {(1, True): 1})
+    with pytest.raises(ValueError, match=r"Y_1\(1\)\^False"):
+        Monomial(2, {(1, 1): False})
+    with pytest.raises(ValueError, match=r"Y_1\('1'\)\^1"):
+        Monomial(2, {(1, "1"): 1})
+    with pytest.raises(ValueError, match="index i=True"):
+        Monomial(2, {(True, 1): 1})
     assert Monomial.generator(2, 1, 1, 0) == Monomial.one(2)
 
 

@@ -303,3 +303,15 @@ def test_spec_validation():
         ProductSpec(2, 1, 3, 1)
     with pytest.raises(ValueError):
         ProductSpec(2, 1, 1, 0)
+    with pytest.raises(ValueError, match="index p=True"):
+        ProductSpec(2, True, 1, 1)
+    with pytest.raises(ValueError, match="m=True must be an integer"):
+        ProductSpec(2, 1, 1, True)
+    with pytest.raises(ValueError, match="m=1.0 must be an integer"):
+        ProductSpec(2, 1, 1, 1.0)
+    with pytest.raises(ValueError, match="m_max=True must be an integer"):
+        verify_range(2, True)
+    with pytest.raises(ValueError, match="m_max=1.5 must be an integer"):
+        verify_range(2, 1.5)
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        verify_range(True, 1)

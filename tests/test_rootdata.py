@@ -5,6 +5,7 @@ from cncrystal.rootdata import (
     Weight,
     cartan_entry,
     cartan_matrix,
+    check_index,
     check_rank,
     letter_alphabet,
     simple_root,
@@ -109,4 +110,17 @@ def test_non_integer_coefficients_are_rejected():
         Weight([1.5, -0.5])
     with pytest.raises(ValueError, match="must be an integer"):
         Weight.from_epsilon([1.9, 0.2])
+    # bool is an int subclass, but True is not a coefficient or an index
+    with pytest.raises(ValueError, match="weight coefficient True must be an integer"):
+        Weight([True, 0])
+    with pytest.raises(ValueError, match="epsilon coordinate True must be an integer"):
+        Weight.from_epsilon([True, 0])
+    with pytest.raises(ValueError, match="epsilon coordinate '1' must be an integer"):
+        Weight.from_epsilon(["1", "0"])
+    with pytest.raises(ValueError, match="rank must be an integer"):
+        check_rank(True)
+    with pytest.raises(ValueError, match="index i=True out of range"):
+        check_index(3, True)
+    with pytest.raises(ValueError, match="index i='1' out of range"):
+        check_index(3, "1")
     assert Weight.from_epsilon([2, 1]) == Weight((1, 1))

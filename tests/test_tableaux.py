@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import cncrystal
 from cncrystal import monomials, tableaux
 from cncrystal.graphs import generate_closure, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.rootdata import Weight, letter_alphabet
 from cncrystal.tableaux import (
     Column,
-    Letter,
     column_crystal,
     column_is_admissible,
     letter_crystal,
@@ -22,32 +22,34 @@ from tensor_reference import TensorPair
 
 
 def test_letter_lowering_path():
-    assert Letter(4, 1).f(1) == Letter(4, 2)
-    assert Letter(4, 4).f(4) == Letter(4, -4)
-    assert Letter(4, -2).f(1) == Letter(4, -1)
-    assert Letter(4, 1).f(2) is None
-    assert Letter(4, -1).f(1) is None
+    assert Column(4, (1,)).f(1) == Column(4, (2,))
+    assert Column(4, (4,)).f(4) == Column(4, (-4,))
+    assert Column(4, (-2,)).f(1) == Column(4, (-1,))
+    assert Column(4, (1,)).f(2) is None
+    assert Column(4, (-1,)).f(1) is None
 
 
 def test_letter_raising_inverts_lowering():
-    for x in letter_crystal(3):
-        for i in (1, 2, 3):
-            y = x.f(i)
-            if y is not None:
-                assert y.e(i) == x
+    for n in range(2, 7):
+        for x in letter_crystal(n):
+            for i in range(1, n + 1):
+                y = x.f(i)
+                if y is not None:
+                    assert y.e(i) == x
 
 
 def test_letter_crystal_is_the_labeled_path():
-    letters = letter_crystal(3)
-    assert [v.value for v in letters] == [1, 2, 3, -3, -2, -1]
-    g = generate_closure([letters[0]])
-    assert list(g.vertices) == list(letters)
-    assert g.edge_labels() == (1, 2, 3, 2, 1)
+    for n in range(2, 7):
+        letters = letter_crystal(n)
+        assert [x.letters for x in letters] == [(v,) for v in letter_alphabet(n)]
+        g = generate_closure([letters[0]])
+        assert list(g.vertices) == list(letters)
+        assert g.edge_labels() == tuple(range(1, n)) + (n,) + tuple(range(n - 1, 0, -1))
 
 
 def test_letter_weights():
-    assert Letter(3, 2).weight() == Weight.from_epsilon((0, 1, 0))
-    assert Letter(3, -2).weight() == Weight.from_epsilon((0, -1, 0))
+    assert Column(3, (2,)).weight() == Weight.from_epsilon((0, 1, 0))
+    assert Column(3, (-2,)).weight() == Weight.from_epsilon((0, -1, 0))
 
 
 def test_column_admissibility_examples():
@@ -59,6 +61,8 @@ def test_column_admissibility_examples():
 def test_column_admissibility_requires_increasing():
     with pytest.raises(ValueError):
         column_is_admissible(Column(2, (2, 1)))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        column_is_admissible(Column(2, (1, 1)))
 
 
 def test_column_rejects_non_integer_letters():
@@ -66,6 +70,8 @@ def test_column_rejects_non_integer_letters():
         Column(2, [1.7, 2.2])
     with pytest.raises(ValueError, match="letter value '1'"):
         Column(2, ["1"])
+    with pytest.raises(ValueError, match="letter value True"):
+        Column(2, [True])
 
 
 def test_column_crystal_rank2():
@@ -197,14 +203,14 @@ def _letter_words():
 def _flatten(element):
     if isinstance(element, TensorPair):
         return _flatten(element.left) + _flatten(element.right)
-    return (element.value,)
+    return element.letters
 
 
 def test_signature_rule_matches_the_tensor_fold():
     checked = 0
     for n, word in _letter_words():
         column = Column(n, word)
-        folded = reduce(TensorPair, [Letter(n, v) for v in word])
+        folded = reduce(TensorPair, [Column(n, (v,)) for v in word])
         for i in range(1, n + 1):
             assert column.epsilon(i) == folded.epsilon(i), (word, i)
             assert column.phi(i) == folded.phi(i), (word, i)
@@ -248,3 +254,8 @@ def _package_imports(module):
 def test_oracle_imports_only_root_data():
     assert _package_imports(tableaux) == {".rootdata"}
     assert not {".tableaux", "cncrystal.tableaux"} & _package_imports(monomials)
+
+
+def test_every_exported_name_resolves():
+    # a stale __all__ entry breaks `from cncrystal import *`
+    assert [name for name in cncrystal.__all__ if not hasattr(cncrystal, name)] == []
