@@ -32,6 +32,7 @@ from .products import (
     VerificationReport,
     component_threshold,
     decompose_product_bruteforce,
+    decompose_product_highest_weights,
     decomposition_pairs,
     fundamental_crystal,
     general_product_decomposition,
@@ -44,7 +45,7 @@ from .products import (
     weight_of_pair,
     weight_to_pair,
 )
-from .rootdata import Weight, cartan_entry, cartan_matrix, simple_root
+from .rootdata import Weight, cartan_entry, cartan_matrix, simple_root, weyl_dimension
 from .tableaux import (
     Column,
     column_crystal,
@@ -73,6 +74,7 @@ __all__ = [
     "column_is_admissible",
     "component_threshold",
     "decompose_product_bruteforce",
+    "decompose_product_highest_weights",
     "decompose_set",
     "decomposition_pairs",
     "export",
@@ -93,6 +95,7 @@ __all__ = [
     "verify_range",
     "weight_of_pair",
     "weight_to_pair",
+    "weyl_dimension",
     "x_monomial",
 ]
 

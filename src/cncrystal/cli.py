@@ -70,7 +70,11 @@ def build_parser() -> _Parser:
     common(sub.add_parser("decompose-product",
                           help="brute-force and closed-form product decomposition"),
            pq=True, m=True)
-    v = sub.add_parser("verify", help="exhaustive brute-force vs closed-form check")
+    v = sub.add_parser(
+        "verify",
+        help="exhaustive closed-form check: highest weights sized by the Weyl "
+        "dimension, completeness proved by counting each product set",
+    )
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--m-max", type=int, required=True)
     v.add_argument("--format", choices=("text", "json"), default="text")

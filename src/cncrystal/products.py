@@ -3,12 +3,18 @@
 The product here is the honest product of Laurent monomials (exponents add),
 not a tensor product.  Such a product set is again closed under the crystal
 operators and splits into irreducibles; this module computes that splitting
-two ways and compares:
+three ways:
 
   * brute force: build the product set and split it into components in one
     walk, which also proves it closed;
+  * highest weights: scan only the products Y_p(m)*b, b in the right factor,
+    size each highest-weight one by the Weyl dimension of its weight, and
+    prove none was missed by counting the product set;
   * closed form: the arithmetic rule predicting which dominant weights
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
+
+decompose-product compares brute force with the closed form; verify_range
+compares the highest-weight path with it.
 
 For a pair (a, c) inside the admissible region the gate is
 
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import (
+    Component,
     CrystalInvariantError,
     Decomposition,
     check_budget,
@@ -34,7 +41,7 @@ from .graphs import (
     generate_closure,
 )
 from .monomials import Monomial, m_k_set
-from .rootdata import Weight, check_index, check_rank, is_int
+from .rootdata import Weight, check_index, check_rank, is_int, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -117,6 +124,43 @@ def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
                 f"with left factor {left_hw}"
             )
     return decomposition
+
+
+def decompose_product_highest_weights(spec: ProductSpec) -> Decomposition:
+    """The decomposition of decompose_product_bruteforce, witnesses included,
+    without walking the product set.
+
+    Every highest-weight product is Y_p(m)*b with b in the right factor (the
+    fact decompose_product_bruteforce checks), so only those |B(L_q)|
+    candidates are scanned.  The component of a highest-weight element of
+    weight lambda is B(lambda), of size weyl_dimension(lambda).  The sizes
+    must add up to the number of products: a highest-weight element the scan
+    missed would leave the sum short.  The count settles this because the
+    product set is operator-closed, which the theory proves and brute force
+    checks on every set it walks.
+    """
+    total = len(product_set(spec))
+    left_hw = Monomial.generator(spec.n, spec.p, spec.m)
+    comps = []
+    for b in fundamental_crystal(spec.n, spec.q, 1):
+        candidate = left_hw * b
+        if not candidate.is_highest_weight():
+            continue
+        weight = candidate.weight()
+        if not weight.is_dominant():
+            raise CrystalInvariantError(
+                f"highest weight {weight} of {candidate} in {spec} is not dominant"
+            )
+        comps.append(Component(weight, weyl_dimension(weight), candidate))
+    found = sum(c.size for c in comps)
+    if found != total:
+        raise CrystalInvariantError(
+            f"components of {spec} hold {found} elements, but its product set has {total}"
+        )
+    # decompose_set's order; Decomposition then sorts by weight, so this
+    # decides the order only among components of one weight
+    comps.sort(key=lambda c: c.witness.sort_key())
+    return Decomposition(comps)
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -273,6 +317,9 @@ def general_product_decomposition(
 
 @dataclass(frozen=True)
 class CellResult:
+    """One verify cell.  bruteforce, named as the document's key, holds the
+    pairs of decompose_product_highest_weights."""
+
     n: int
     p: int
     q: int
@@ -323,8 +370,8 @@ class VerificationReport:
 
 
 def verify_range(n_max: int, m_max: int) -> VerificationReport:
-    """Compare brute force against the closed form on every cell
-    2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
+    """Compare the highest-weight decomposition against the closed form on
+    every cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
     check_rank(n_max)
     if not is_int(m_max) or m_max < 1:
         raise ValueError(f"m_max={m_max!r} must be an integer >= 1")
@@ -335,9 +382,9 @@ def verify_range(n_max: int, m_max: int) -> VerificationReport:
             for q in range(1, n + 1):
                 for m in range(1, m_max + 1):
                     spec = ProductSpec(n, p, q, m)
-                    brute = decomposition_pairs(decompose_product_bruteforce(spec))
+                    found = decomposition_pairs(decompose_product_highest_weights(spec))
                     predicted = product_decomposition_closed_form(spec)
-                    cells.append(CellResult(n, p, q, m, brute, predicted))
+                    cells.append(CellResult(n, p, q, m, found, predicted))
     elapsed = time.perf_counter() - start
     return VerificationReport(n_max, m_max, tuple(cells), elapsed)
 

@@ -34,12 +34,17 @@ def check_index(n: int, i: int, name: str = "i") -> int:
     return i
 
 
+def _letter_position(n: int, value: int) -> int:
+    """letter_order_index without its checks, for letters already validated."""
+    return value - 1 if value > 0 else 2 * n + value
+
+
 def letter_order_index(n: int, value: int) -> int:
     """Position of a signed letter in the order 1 < ... < n < -n < ... < -1."""
     check_rank(n)
     if not is_int(value) or value == 0 or abs(value) > n:
         raise ValueError(f"letter value {value!r} out of range for rank {n}")
-    return value - 1 if value > 0 else 2 * n + value
+    return _letter_position(n, value)
 
 
 def letter_alphabet(n: int) -> tuple[int, ...]:
@@ -170,6 +175,32 @@ class Weight:
 
     def __repr__(self) -> str:
         return f"Weight({self.coeffs})"
+
+
+def weyl_dimension(weight: Weight) -> int:
+    """Dimension of the irreducible C_n module of dominant highest weight
+    lambda, which is also the size of the crystal B(lambda).
+
+    Weyl's formula is the product over positive roots alpha of
+    <lambda + rho, alpha> / <rho, alpha>.  In epsilon-coordinates
+    rho = (n, n-1, ..., 1) and the positive roots are eps_i - eps_j and
+    eps_i + eps_j (i < j) and 2 eps_i; the form is the dot product, and the
+    factor 2 of the long roots cancels.  Numerator and denominator are
+    accumulated as integers and divided once; the quotient is exact.
+    """
+    if not weight.is_dominant():
+        raise ValueError(f"weyl_dimension needs a dominant weight, got {weight}")
+    n = weight.rank
+    rho = range(n, 0, -1)
+    shifted = [x + r for x, r in zip(weight.to_epsilon(), rho)]
+    numerator = denominator = 1
+    for i in range(n):
+        numerator *= shifted[i]
+        denominator *= n - i
+        for j in range(i + 1, n):
+            numerator *= (shifted[i] - shifted[j]) * (shifted[i] + shifted[j])
+            denominator *= (j - i) * (2 * n - i - j)
+    return numerator // denominator
 
 
 def simple_root(n: int, i: int) -> Weight:

@@ -26,6 +26,7 @@ from typing import Iterable
 
 from .rootdata import (
     Weight,
+    _letter_position,
     check_index,
     check_rank,
     letter_alphabet,
@@ -121,7 +122,9 @@ class Column:
         return all(self.epsilon(i) == 0 for i in range(1, self.rank + 1))
 
     def sort_key(self):
-        return tuple(letter_order_index(self.rank, v) for v in self.letters)
+        # the letters were validated by __init__
+        n = self.rank
+        return tuple(_letter_position(n, v) for v in self.letters)
 
     def to_json(self) -> list[int]:
         return list(self.letters)

@@ -164,6 +164,15 @@ def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):
     assert "vertex budget 1000" in err
 
 
+def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, monkeypatch):
+    # the first cell, rank 2 with p = q = 1, forms 4*4 products; its factors fit
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "15")
+    code, out, err = run_cli(capsys, "verify", "--n-max", "3", "--m-max", "1")
+    assert code == 1
+    assert out == ""
+    assert "lengths 1 and 1 at rank 2 form 4*4 products: 16 exceeds the vertex budget 15" in err
+
+
 def test_budget_refuses_the_column_oracle_before_any_column(capsys, monkeypatch):
     def no_columns(n, length):
         raise AssertionError("a column crystal was built")

@@ -12,6 +12,7 @@ from cncrystal.products import (
     component_threshold,
     predicted_components,
     decompose_product_bruteforce,
+    decompose_product_highest_weights,
     decomposition_pairs,
     decomposition_to_json,
     fundamental_crystal,
@@ -82,6 +83,31 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
     monkeypatch.setattr(products, "product_set", lambda _spec: truncated)
     with pytest.raises(CrystalInvariantError, match="is not operator-closed") as info:
         decompose_product_bruteforce(spec)
+    assert str(spec) in str(info.value)
+
+
+def test_highest_weight_path_equals_brute_force():
+    # every cell with n <= 4 and m <= 2n: same components, same witnesses, same order
+    for n in range(2, 5):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                for m in range(1, 2 * n + 1):
+                    spec = ProductSpec(n, p, q, m)
+                    brute = decompose_product_bruteforce(spec)
+                    fast = decompose_product_highest_weights(spec)
+                    assert fast == brute, spec
+                    assert [c.witness for c in fast] == [c.witness for c in brute], spec
+
+
+def test_a_missed_highest_weight_breaks_conservation(monkeypatch):
+    spec = ProductSpec(3, 2, 3, 4)
+    dropped = decompose_product_highest_weights(spec).components[0].witness
+    is_highest_weight = Monomial.is_highest_weight
+    monkeypatch.setattr(
+        Monomial, "is_highest_weight", lambda self: self != dropped and is_highest_weight(self)
+    )
+    with pytest.raises(CrystalInvariantError, match="but its product set has") as info:
+        decompose_product_highest_weights(spec)
     assert str(spec) in str(info.value)
 
 

@@ -1,6 +1,9 @@
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
+from cncrystal.products import fundamental_crystal
 from cncrystal.rootdata import (
     Weight,
     cartan_entry,
@@ -9,6 +12,7 @@ from cncrystal.rootdata import (
     check_rank,
     letter_alphabet,
     simple_root,
+    weyl_dimension,
 )
 
 
@@ -124,3 +128,30 @@ def test_non_integer_coefficients_are_rejected():
     with pytest.raises(ValueError, match="index i='1' out of range"):
         check_index(3, "1")
     assert Weight.from_epsilon([2, 1]) == Weight((1, 1))
+
+
+def test_weyl_dimension_of_fundamental_weights():
+    # dim V(L_k) = C(2n, k) - C(2n, k-2), the size of the fundamental crystal
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            expected = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
+            dimension = weyl_dimension(Weight.fundamental(n, k))
+            assert dimension == expected == len(fundamental_crystal(n, k, 1))
+
+
+def test_weyl_dimension_of_the_zero_weight_is_one():
+    for n in range(2, 7):
+        assert weyl_dimension(Weight.zero(n)) == 1
+
+
+def test_weyl_dimension_sizes_the_rank5_p4_q5_components():
+    # the component sizes criterion 3 asserts for the C5 (4,5) product
+    weights = [(0, 0, 0, 1, 1), (0, 0, 1, 1, 0), (0, 1, 1, 0, 0), (1, 1, 0, 0, 0), (1, 0, 0, 0, 0)]
+    assert [weyl_dimension(Weight(w)) for w in weights] == [9438, 9152, 2860, 320, 10]
+
+
+def test_weyl_dimension_rejects_a_non_dominant_weight():
+    with pytest.raises(ValueError, match="needs a dominant weight"):
+        weyl_dimension(Weight((1, -1)))
+    with pytest.raises(ValueError, match="needs a dominant weight"):
+        weyl_dimension(simple_root(3, 2))

@@ -10,7 +10,7 @@ import cncrystal
 from cncrystal import monomials, tableaux
 from cncrystal.graphs import generate_closure, is_closed
 from cncrystal.monomials import Monomial
-from cncrystal.rootdata import Weight, letter_alphabet
+from cncrystal.rootdata import Weight, letter_alphabet, letter_order_index
 from cncrystal.tableaux import (
     Column,
     column_crystal,
@@ -72,6 +72,18 @@ def test_column_rejects_non_integer_letters():
         Column(2, ["1"])
     with pytest.raises(ValueError, match="letter value True"):
         Column(2, [True])
+
+
+def test_sort_key_is_the_tuple_of_letter_order_indices():
+    # sort_key skips the letter checks __init__ already made; the positions must not change
+    for n in range(2, 7):
+        alphabet = letter_alphabet(n)
+        for length in range(1, 2 * n + 1):
+            for combo in itertools.combinations(alphabet, length):
+                column = Column(n, combo)
+                assert column.sort_key() == tuple(letter_order_index(n, v) for v in combo)
+        word = Column(n, alphabet[::-1] + alphabet)
+        assert word.sort_key() == tuple(letter_order_index(n, v) for v in word.letters)
 
 
 def test_column_crystal_rank2():
