@@ -12,7 +12,6 @@ from .graphs import (
     CrystalGraph,
     CrystalInvariantError,
     Decomposition,
-    VertexBudgetExceeded,
     decompose_set,
     export,
     generate_closure,
@@ -45,7 +44,14 @@ from .products import (
     weight_of_pair,
     weight_to_pair,
 )
-from .rootdata import Weight, cartan_entry, cartan_matrix, simple_root, weyl_dimension
+from .rootdata import (
+    VertexBudgetExceeded,
+    Weight,
+    cartan_entry,
+    cartan_matrix,
+    simple_root,
+    weyl_dimension,
+)
 from .tableaux import (
     Column,
     column_crystal,

@@ -3,10 +3,10 @@
 Subcommands: graph, elements, decompose-tensor, decompose-product, verify.
 Documents go to stdout (or --output) and always end with a newline; identical
 commands produce byte-identical documents.  Exit status: 0 success, 1 usage
-or resource error, 2 verification mismatch or broken invariant (reported as
-"error: <message>" on stderr).  The environment variable CRYSTAL_VERTEX_BUDGET
-overrides the vertex budget, which also bounds the words and products formed
-and the columns the oracle walks.
+or resource error (a library ValueError included), 2 verification mismatch or
+broken invariant, each reported as "error: <message>" on stderr.  The library
+reads CRYSTAL_VERTEX_BUDGET, which overrides the vertex budget, wherever it
+enumerates, for this CLI and library callers alike.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from __future__ import annotations
 import argparse
 import collections
 import json
-import os
 import sys
-from math import comb
 
-from . import graphs
-from .graphs import CrystalInvariantError, VertexBudgetExceeded, export, generate_closure
+from .graphs import CrystalInvariantError, export, generate_closure
 from .monomials import Monomial, m_k_set
 from .products import (
     ProductSpec,
@@ -31,6 +28,7 @@ from .products import (
     verify_range,
     weight_of_pair,
 )
+from .rootdata import VertexBudgetExceeded, check_index, check_positive, check_rank
 from .tableaux import tensor_highest_weights
 
 
@@ -82,11 +80,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise UsageError(message)
-
-
 def _emit(document: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(document)
@@ -99,17 +92,14 @@ def _emit(document: str, output: str | None) -> None:
 
 
 def _cmd_graph(args) -> tuple[int, str]:
-    n, k, m = args.rank, args.k, args.m
-    _require(n >= 2, f"--rank must be >= 2, got {n}")
-    _require(1 <= k <= n, f"--k must be in [1, {n}], got {k}")
-    graph = generate_closure([Monomial.generator(n, k, m)])
+    n = check_rank(args.rank, "--rank")
+    graph = generate_closure([Monomial.generator(n, check_index(n, args.k, "--k"), args.m)])
     return 0, export(graph, args.format)
 
 
 def _cmd_elements(args) -> tuple[int, str]:
-    n, k, m = args.rank, args.k, args.m
-    _require(n >= 2, f"--rank must be >= 2, got {n}")
-    _require(1 <= k <= 2 * n, f"--k must be in [1, {2 * n}], got {k}")
+    n = check_rank(args.rank, "--rank")
+    k, m = check_index(2 * n, args.k, "--k"), args.m
     elements = m_k_set(n, k, m)
     if args.format == "json":
         doc = {
@@ -126,13 +116,8 @@ def _cmd_elements(args) -> tuple[int, str]:
 
 
 def _cmd_decompose_tensor(args) -> tuple[int, str]:
-    n, p, q = args.rank, args.p, args.q
-    _require(n >= 2, f"--rank must be >= 2, got {n}")
-    _require(1 <= p <= n, f"--p must be in [1, {n}], got {p}")
-    _require(1 <= q <= n, f"--q must be in [1, {n}], got {q}")
-    # the column oracle walks every C(2n, length) letter combination
-    for length in (p, q):
-        graphs.check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
+    n = check_rank(args.rank, "--rank")
+    p, q = check_index(n, args.p, "--p"), check_index(n, args.q, "--q")
     pairs = tensor_decomposition_closed_form(n, p, q)
     predicted = collections.Counter(weight_of_pair(n, a, c).coeffs for a, c in pairs)
     oracle = collections.Counter(
@@ -160,11 +145,9 @@ def _cmd_decompose_tensor(args) -> tuple[int, str]:
 
 
 def _cmd_decompose_product(args) -> tuple[int, str]:
-    n, p, q, m = args.rank, args.p, args.q, args.m
-    _require(n >= 2, f"--rank must be >= 2, got {n}")
-    _require(1 <= p <= n, f"--p must be in [1, {n}], got {p}")
-    _require(1 <= q <= n, f"--q must be in [1, {n}], got {q}")
-    _require(m >= 1, f"--m must be >= 1, got {m}")
+    n = check_rank(args.rank, "--rank")
+    p, q = check_index(n, args.p, "--p"), check_index(n, args.q, "--q")
+    m = check_positive(args.m, "--m")
     spec = ProductSpec(n, p, q, m)
     decomposition = decompose_product_bruteforce(spec)
     predicted = product_decomposition_closed_form(spec)
@@ -190,9 +173,8 @@ def _cmd_decompose_product(args) -> tuple[int, str]:
 
 
 def _cmd_verify(args) -> tuple[int, str]:
-    _require(args.n_max >= 2, f"--n-max must be >= 2, got {args.n_max}")
-    _require(args.m_max >= 1, f"--m-max must be >= 1, got {args.m_max}")
-    report = verify_range(args.n_max, args.m_max)
+    n_max, m_max = check_rank(args.n_max, "--n-max"), check_positive(args.m_max, "--m-max")
+    report = verify_range(n_max, m_max)
     # timing is diagnostics, not part of the deterministic document
     print(f"verify elapsed {report.elapsed_seconds:.2f}s", file=sys.stderr)
     return (0 if not report.mismatches else 2), report.to_jsonl()
@@ -208,29 +190,17 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    saved_budget = graphs.DEFAULT_VERTEX_BUDGET
     try:
-        args = parser.parse_args(argv)
-        budget_env = os.environ.get("CRYSTAL_VERTEX_BUDGET")
-        if budget_env is not None:
-            try:
-                budget = int(budget_env)
-            except ValueError:
-                raise UsageError(f"CRYSTAL_VERTEX_BUDGET must be an integer, got {budget_env!r}")
-            _require(budget >= 1, f"CRYSTAL_VERTEX_BUDGET must be >= 1, got {budget}")
-            graphs.DEFAULT_VERTEX_BUDGET = budget
+        args = build_parser().parse_args(argv)
         status, document = _COMMANDS[args.command](args)
         _emit(document, args.output)
         return status
-    except (UsageError, VertexBudgetExceeded) as exc:
+    except (UsageError, ValueError, VertexBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CrystalInvariantError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        graphs.DEFAULT_VERTEX_BUDGET = saved_budget
 
 
 if __name__ == "__main__":

@@ -16,18 +16,7 @@ import json
 from collections import Counter, deque
 from typing import Iterable, Sequence
 
-DEFAULT_VERTEX_BUDGET = 10**6
-
-
-class VertexBudgetExceeded(RuntimeError):
-    """Closure grew past the configured vertex budget (misuse guard)."""
-
-
-def check_budget(count: int, what: str) -> None:
-    """Refuse, before it starts, an enumeration of count items over the budget."""
-    budget = DEFAULT_VERTEX_BUDGET
-    if count > budget:
-        raise VertexBudgetExceeded(f"{what}: {count} exceeds the vertex budget {budget}")
+from .rootdata import VertexBudgetExceeded, vertex_budget
 
 
 class CrystalInvariantError(RuntimeError):
@@ -59,12 +48,12 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
 
     Vertex order is the breadth-first discovery order from the sorted seeds;
     edges are exactly the graph of the lowering operators on the closure.
-    A closure growing past DEFAULT_VERTEX_BUDGET vertices is refused.
+    A closure growing past vertex_budget() vertices is refused.
     """
     seed_list = sorted(set(seeds), key=lambda v: v.sort_key())
     if not seed_list:
         raise ValueError("generate_closure requires at least one seed")
-    budget = DEFAULT_VERTEX_BUDGET
+    budget = vertex_budget()
     rank = seed_list[0].rank
     if any(s.rank != rank for s in seed_list):
         raise ValueError("all closure seeds must share one rank")

@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
-from .graphs import check_budget
 from .rootdata import (
     Weight,
+    check_budget,
     check_index,
     check_rank,
     is_int,
@@ -41,6 +41,12 @@ StringStats = namedtuple("StringStats", "epsilon phi n_e n_f")
 
 ExponentKey = tuple[int, int]  # (row index i, shift m)
 Triple = tuple[int, int, int]  # (row index i, shift m, exponent e)
+
+
+def _check_shift(shift, name: str) -> None:
+    """Monomial.__init__'s integer rule, for a shift handed to _trusted."""
+    if not is_int(shift):
+        raise ValueError(f"shift {name}={shift!r} must be an integer")
 
 
 class Monomial:
@@ -138,6 +144,7 @@ class Monomial:
 
     def shifted(self, a: int) -> "Monomial":
         """Translate every shift by a; commutes with the crystal operators."""
+        _check_shift(a, "a")
         return Monomial._trusted(self.rank, tuple((i, m + a, e) for i, m, e in self._key))
 
     def without_row(self, i: int) -> "Monomial":
@@ -257,6 +264,7 @@ def root_monomial(n: int, i: int, m: int) -> Monomial:
     """A_i(m) as a Monomial; multiplying by it raises the weight by alpha_i."""
     check_rank(n)
     check_index(n, i)
+    _check_shift(m, "m")
     return Monomial._trusted(n, _root_triples(n, i, m, 1))
 
 
@@ -285,6 +293,7 @@ def x_monomial(n: int, letter: XLetter) -> Monomial:
     check_rank(n)
     v, s = letter.value, letter.shift
     letter_order_index(n, v)  # range check
+    _check_shift(s, "letter.shift")
     if v > 0:
         below = ((v - 1, s + 1, -1),) if v >= 2 else ()
         return Monomial._trusted(n, below + ((v, s, 1),))
@@ -297,8 +306,8 @@ def x_monomial(n: int, letter: XLetter) -> Monomial:
 def m_k_words(n: int, k: int, m: int) -> Iterator[tuple[XLetter, ...]]:
     """All strictly increasing k-letter X-words with base shift m (top shift k+m-1)."""
     check_rank(n)
-    if not 1 <= k <= 2 * n:
-        raise ValueError(f"k={k!r} out of range [1, {2 * n}]")
+    check_index(2 * n, k, "k")
+    _check_shift(m, "m")
     check_budget(comb(2 * n, k), f"length {k} at rank {n} walks C({2 * n}, {k}) X-words")
     for combo in itertools.combinations(letter_alphabet(n), k):
         yield tuple(XLetter(v, k + m - 1 - j) for j, v in enumerate(combo))

@@ -36,12 +36,11 @@ from .graphs import (
     Component,
     CrystalInvariantError,
     Decomposition,
-    check_budget,
     decompose_set,
     generate_closure,
 )
 from .monomials import Monomial, m_k_set
-from .rootdata import Weight, check_index, check_rank, is_int, weyl_dimension
+from .rootdata import Weight, check_budget, check_index, check_positive, check_rank, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -58,8 +57,7 @@ class ProductSpec:
         check_rank(self.n)
         check_index(self.n, self.p, "p")
         check_index(self.n, self.q, "q")
-        if not is_int(self.m) or self.m < 1:
-            raise ValueError(f"m={self.m!r} must be an integer >= 1")
+        check_positive(self.m, "m")
 
 
 @lru_cache(maxsize=256)
@@ -284,10 +282,8 @@ def normalize_product_params(
     the factors when that would leave the left shift below 1.
     """
     check_rank(n)
-    if not 1 <= p <= 2 * n:
-        raise ValueError(f"p={p!r} out of range [1, {2 * n}]")
-    if not 1 <= q <= 2 * n:
-        raise ValueError(f"q={q!r} out of range [1, {2 * n}]")
+    check_index(2 * n, p, "p")
+    check_index(2 * n, q, "q")
     if p > n:
         p, m = 2 * n - p, m - n + p
     if q > n:
@@ -373,8 +369,7 @@ def verify_range(n_max: int, m_max: int) -> VerificationReport:
     """Compare the highest-weight decomposition against the closed form on
     every cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
     check_rank(n_max)
-    if not is_int(m_max) or m_max < 1:
-        raise ValueError(f"m_max={m_max!r} must be an integer >= 1")
+    check_positive(m_max, "m_max")
     start = time.perf_counter()
     cells = []
     for n in range(2, n_max + 1):

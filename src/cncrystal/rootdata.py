@@ -9,11 +9,39 @@ unitriangular, hence an exact integer bijection.
 The 2n weights +-eps_i of the vector representation are written as signed
 letters (+i for eps_i, -i for -eps_i) in the order 1 < ... < n < -n < ... < -1;
 both the monomial and the column model index their words by this alphabet.
+The vertex budget lives here too, in the one module every layer imports.
 """
 
 from __future__ import annotations
 
+import os
 from typing import Iterable
+
+DEFAULT_VERTEX_BUDGET = 10**6
+
+
+class VertexBudgetExceeded(RuntimeError):
+    """An enumeration would grow past the vertex budget (misuse guard)."""
+
+
+def vertex_budget() -> int:
+    """CRYSTAL_VERTEX_BUDGET if set, else DEFAULT_VERTEX_BUDGET; read where it is enforced."""
+    raw = os.environ.get("CRYSTAL_VERTEX_BUDGET")
+    if raw is None:
+        return DEFAULT_VERTEX_BUDGET
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise ValueError(f"CRYSTAL_VERTEX_BUDGET must be an integer >= 1, got {raw!r}")
+
+
+def check_budget(count: int, what: str) -> None:
+    """Refuse, before it starts, an enumeration of count items over the budget."""
+    budget = vertex_budget()
+    if count > budget:
+        raise VertexBudgetExceeded(f"{what}: {count} exceeds the vertex budget {budget}")
 
 
 def is_int(x) -> bool:
@@ -21,10 +49,16 @@ def is_int(x) -> bool:
     return type(x) is int
 
 
-def check_rank(n: int) -> int:
+def check_rank(n: int, name: str = "rank") -> int:
     if not is_int(n) or n < 2:
-        raise ValueError(f"rank must be an integer >= 2, got {n!r}")
+        raise ValueError(f"{name} must be an integer >= 2, got {n!r}")
     return n
+
+
+def check_positive(x: int, name: str) -> int:
+    if not is_int(x) or x < 1:
+        raise ValueError(f"{name}={x!r} must be an integer >= 1")
+    return x
 
 
 def check_index(n: int, i: int, name: str = "i") -> int:

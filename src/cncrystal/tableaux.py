@@ -22,11 +22,13 @@ imports only the root data and never touches the monomial realization.
 from __future__ import annotations
 
 import itertools
+from math import comb
 from typing import Iterable
 
 from .rootdata import (
     Weight,
     _letter_position,
+    check_budget,
     check_index,
     check_rank,
     letter_alphabet,
@@ -204,6 +206,9 @@ def tensor_highest_weights(
     check_rank(n)
     check_index(n, p, "p")
     check_index(n, q, "q")
+    # before any column is built: column_crystal walks C(2n, length) letter combinations
+    for length in (p, q):
+        check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
     left = column_crystal(n, p)
     right = column_crystal(n, q)
     out = []

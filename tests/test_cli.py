@@ -125,12 +125,18 @@ def test_verify_small_range(capsys):
         (["decompose-product", "--rank", "2", "--p", "1", "--q", "0"], "--q"),
         (["decompose-product", "--rank", "2", "--p", "1", "--q", "1", "--m", "0"], "--m"),
         (["verify", "--n-max", "1", "--m-max", "2"], "--n-max"),
+        (["verify", "--n-max", "2", "--m-max", "0"], "--m-max"),
+        (["decompose-tensor", "--rank", "2", "--p", "3", "--q", "1"], "--p"),
+        (["decompose-tensor", "--rank", "2", "--p", "1", "--q", "0"], "--q"),
+        (["elements", "--rank", "1", "--k", "1"], "--rank"),
     ],
 )
 def test_usage_errors_name_the_parameter(capsys, argv, needle):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    # one error line naming the flag, no traceback
+    assert err.startswith("error: ") and err.count("\n") == 1
     assert needle in err
 
 
@@ -147,10 +153,12 @@ def test_budget_env_var(capsys, monkeypatch):
     )
     assert code == 1
     assert "budget" in err
-    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "not-a-number")
-    code, _, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
-    assert code == 1
-    assert "CRYSTAL_VERTEX_BUDGET" in err
+    for value in ("not-a-number", "0"):
+        monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", value)
+        code, out, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
+        assert code == 1
+        assert out == ""
+        assert err == f"error: CRYSTAL_VERTEX_BUDGET must be an integer >= 1, got {value!r}\n"
 
 
 def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):

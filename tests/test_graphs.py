@@ -2,17 +2,15 @@ import json
 
 import pytest
 
-from cncrystal import graphs
 from cncrystal.graphs import (
     CrystalInvariantError,
-    VertexBudgetExceeded,
     decompose_set,
     export,
     generate_closure,
     is_closed,
 )
 from cncrystal.monomials import Monomial
-from cncrystal.rootdata import Weight
+from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
 
@@ -39,7 +37,7 @@ def test_closure_of_identity_monomial():
 
 
 def test_closure_budget(monkeypatch):
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 10)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "10")
     with pytest.raises(VertexBudgetExceeded, match="vertex budget 10 exceeded"):
         generate_closure([Monomial.generator(5, 3, 1)])
 

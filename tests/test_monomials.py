@@ -3,8 +3,6 @@ from collections import Counter
 
 import pytest
 
-from cncrystal import graphs
-from cncrystal.graphs import VertexBudgetExceeded
 from cncrystal.monomials import (
     Monomial,
     XLetter,
@@ -12,7 +10,7 @@ from cncrystal.monomials import (
     root_monomial,
     x_monomial,
 )
-from cncrystal.rootdata import Weight
+from cncrystal.rootdata import VertexBudgetExceeded, Weight
 
 
 def Y(n, *factors):
@@ -230,9 +228,9 @@ def test_m_k_set_counts():
 
 def test_m_k_set_refuses_over_budget_before_walking_words(monkeypatch):
     # M_3 at rank 5 walks C(10, 3) = 120 X-words and keeps 110 monomials
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 120)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "120")
     assert len(m_k_set(5, 3, 1)) == 110
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 119)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "119")
     with pytest.raises(VertexBudgetExceeded, match=r"length 3 at rank 5 walks C\(10, 3\)"):
         m_k_set(5, 3, 1)
 
@@ -242,6 +240,11 @@ def test_m_k_set_range_errors():
         m_k_set(2, 0, 1)
     with pytest.raises(ValueError):
         m_k_set(2, 5, 1)
+    # a bool or a float length is refused by the same rule, naming k
+    with pytest.raises(ValueError, match=r"index k=True out of range \[1, 4\]"):
+        m_k_set(2, True, 1)
+    with pytest.raises(ValueError, match=r"index k=1\.0 out of range \[1, 4\]"):
+        m_k_set(2, 1.0, 1)
 
 
 # -- reductions ----------------------------------------------------------------------
@@ -307,6 +310,17 @@ def test_non_integer_shifts_and_exponents_are_rejected():
         Monomial(2, {(1, "1"): 1})
     with pytest.raises(ValueError, match="index i=True"):
         Monomial(2, {(True, 1): 1})
+    # the public entries that pass an outside shift to _trusted check it too
+    with pytest.raises(ValueError, match=r"shift m=1\.5 must be an integer"):
+        m_k_set(2, 1, 1.5)
+    with pytest.raises(ValueError, match="shift m=True must be an integer"):
+        m_k_set(2, 1, True)
+    with pytest.raises(ValueError, match=r"shift letter\.shift=0\.5 must be an integer"):
+        x_monomial(2, XLetter(1, 0.5))
+    with pytest.raises(ValueError, match=r"shift a=0\.5 must be an integer"):
+        Monomial.generator(2, 1, 1).shifted(0.5)
+    with pytest.raises(ValueError, match=r"shift m=0\.5 must be an integer"):
+        root_monomial(2, 1, 0.5)
     assert Monomial.generator(2, 1, 1, 0) == Monomial.one(2)
 
 

@@ -3,8 +3,8 @@ from collections import Counter
 
 import pytest
 
-from cncrystal import graphs, products
-from cncrystal.graphs import CrystalInvariantError, VertexBudgetExceeded, is_closed
+from cncrystal import products
+from cncrystal.graphs import CrystalInvariantError, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.products import (
     ComponentPrediction,
@@ -25,7 +25,7 @@ from cncrystal.products import (
     weight_of_pair,
     weight_to_pair,
 )
-from cncrystal.rootdata import Weight
+from cncrystal.rootdata import VertexBudgetExceeded, Weight
 
 
 def test_fundamental_crystal_counts():
@@ -117,7 +117,7 @@ def test_a_missed_highest_weight_breaks_conservation(monkeypatch):
 def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
     # each factor has 6 elements, so 36 products would be formed
     assert len(fundamental_crystal(3, 1, 2)) == len(fundamental_crystal(3, 1, 1)) == 6
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 35)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "35")
 
     def no_products(a, b):
         raise AssertionError("a product was formed")
@@ -130,14 +130,14 @@ def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
     with pytest.raises(VertexBudgetExceeded, match=message):
         product_set(ProductSpec(3, 1, 1, 2))
     monkeypatch.undo()
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 36)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "36")
     assert len(product_set(ProductSpec(3, 1, 1, 2))) <= 36
 
 
 def test_a_repeated_product_set_is_checked_against_the_budget_again(monkeypatch):
     spec = ProductSpec(3, 1, 1, 2)
     assert len(product_set(spec)) == 35
-    monkeypatch.setattr(graphs, "DEFAULT_VERTEX_BUDGET", 35)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "35")
     with pytest.raises(VertexBudgetExceeded, match="36 exceeds the vertex budget 35"):
         product_set(spec)
 
@@ -280,6 +280,13 @@ def test_normalize_swaps_when_left_shift_undershoots():
 def test_normalize_rejects_trivial_lengths():
     with pytest.raises(ValueError):
         normalize_product_params(2, 4, 1, 1)
+    # lengths outside [1, 2n], bools included, are refused naming the length
+    with pytest.raises(ValueError, match=r"index p=5 out of range \[1, 4\]"):
+        normalize_product_params(2, 5, 1, 1)
+    with pytest.raises(ValueError, match=r"index q=0 out of range \[1, 4\]"):
+        normalize_product_params(2, 1, 1, 0)
+    with pytest.raises(ValueError, match=r"index p=True out of range \[1, 4\]"):
+        normalize_product_params(2, True, 1, 1)
 
 
 def test_general_product_matches_its_normalization():
