@@ -31,7 +31,6 @@ from .products import (
     VerificationReport,
     component_threshold,
     decompose_product_bruteforce,
-    decompose_product_highest_weights,
     decomposition_pairs,
     fundamental_crystal,
     general_product_decomposition,
@@ -80,7 +79,6 @@ __all__ = [
     "column_is_admissible",
     "component_threshold",
     "decompose_product_bruteforce",
-    "decompose_product_highest_weights",
     "decompose_set",
     "decomposition_pairs",
     "export",

@@ -70,8 +70,8 @@ def build_parser() -> _Parser:
            pq=True, m=True)
     v = sub.add_parser(
         "verify",
-        help="exhaustive closed-form check: highest weights sized by the Weyl "
-        "dimension, completeness proved by counting each product set",
+        help="exhaustive closed-form check: each product set's components peeled "
+        "off its dominant-weight counts with Freudenthal multiplicities",
     )
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--m-max", type=int, required=True)

@@ -60,10 +60,11 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
     index: dict = {}
     order: list = []
     queue = deque()
+    refusal = f"closure of {seed_list[0]} at rank {rank} exceeds the vertex budget {budget}"
 
     def add(v):
         if len(order) >= budget:
-            raise VertexBudgetExceeded(f"vertex budget {budget} exceeded")
+            raise VertexBudgetExceeded(refusal)
         index[v] = len(order)
         order.append(v)
         queue.append(v)

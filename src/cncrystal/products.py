@@ -7,14 +7,13 @@ three ways:
 
   * brute force: build the product set and split it into components in one
     walk, which also proves it closed;
-  * highest weights: scan only the products Y_p(m)*b, b in the right factor,
-    size each highest-weight one by the Weyl dimension of its weight, and
-    prove none was missed by counting the product set;
+  * character: count only the products of each dominant weight, and peel
+    the components off those counts with Freudenthal weight multiplicities;
   * closed form: the arithmetic rule predicting which dominant weights
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
 
 decompose-product compares brute force with the closed form; verify_range
-compares the highest-weight path with it.
+compares the character path with it.
 
 For a pair (a, c) inside the admissible region the gate is
 
@@ -29,18 +28,15 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from math import comb
 
-from .graphs import (
-    Component,
-    CrystalInvariantError,
-    Decomposition,
-    decompose_set,
-    generate_closure,
-)
+from .graphs import CrystalInvariantError, Decomposition, decompose_set, generate_closure
 from .monomials import Monomial, m_k_set
-from .rootdata import Weight, check_budget, check_index, check_positive, check_rank, weyl_dimension
+from .rootdata import Weight, check_budget, check_index, check_positive, check_rank
+from .rootdata import weight_multiplicity, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -124,41 +120,45 @@ def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
     return decomposition
 
 
-def decompose_product_highest_weights(spec: ProductSpec) -> Decomposition:
-    """The decomposition of decompose_product_bruteforce, witnesses included,
-    without walking the product set.
-
-    Every highest-weight product is Y_p(m)*b with b in the right factor (the
-    fact decompose_product_bruteforce checks), so only those |B(L_q)|
-    candidates are scanned.  The component of a highest-weight element of
-    weight lambda is B(lambda), of size weyl_dimension(lambda).  The sizes
-    must add up to the number of products: a highest-weight element the scan
-    missed would leave the sum short.  The count settles this because the
-    product set is operator-closed, which the theory proves and brute force
-    checks on every set it walks.
-    """
-    total = len(product_set(spec))
-    left_hw = Monomial.generator(spec.n, spec.p, spec.m)
-    comps = []
-    for b in fundamental_crystal(spec.n, spec.q, 1):
-        candidate = left_hw * b
-        if not candidate.is_highest_weight():
-            continue
-        weight = candidate.weight()
-        if not weight.is_dominant():
-            raise CrystalInvariantError(
-                f"highest weight {weight} of {candidate} in {spec} is not dominant"
-            )
-        comps.append(Component(weight, weyl_dimension(weight), candidate))
-    found = sum(c.size for c in comps)
-    if found != total:
+def decompose_product_character(spec: ProductSpec) -> Counter:
+    """The weight multiset of the decomposition, comparable with
+    Decomposition.weight_multiset().  The product set is closed, so it is a sum
+    of m_lambda B(lambda) whose W-invariant character is fixed by count(mu),
+    the number of products a*b of each dominant weight mu = wt(a) + wt(b)
+    (products of unequal weights differ).  In descending epsilon-lex order,
+    which refines dominance, m_mu = count(mu) - sum m_nu * mult_nu(mu)."""
+    n, p, q = spec.n, spec.p, spec.q
+    left, right = {}, {}
+    for classes, k, shift in ((left, p, spec.m), (right, q, 1)):
+        for x in fundamental_crystal(n, k, shift):
+            classes.setdefault(x.weight().coeffs, []).append(x)
+    peeled, total, found = [], 0, 0
+    # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
+    # with no negative partial sum of the difference and an even whole
+    for a in range(n, -1, -1):
+        for c in range(n, a - 1, -1):
+            sums = [min(k, p) + min(k, q) - min(k, a) - min(k, c) for k in range(1, n + 1)]
+            if min(sums) < 0 or sums[-1] % 2:
+                continue
+            target = weight_of_pair(n, a, c)
+            pairs = [(lw, right.get(tuple(t - x for t, x in zip(target.coeffs, w)), ()))
+                     for w, lw in left.items()]
+            where = f"lengths {p} and {q} at rank {n}, products of weight {target}"
+            check_budget(sum(len(lw) * len(rw) for lw, rw in pairs), where)
+            count = len({x * y for lw, rw in pairs for x in lw for y in rw})
+            # |W target|: W permutes the target's entries and negates its c nonzero ones
+            total += count * comb(n, c) * comb(c, a) << c
+            copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)
+            if copies < 0:
+                raise CrystalInvariantError(f"peeling {spec} gives B({target}) {copies} times")
+            if copies:
+                peeled.append((target, copies))
+                found += copies * weyl_dimension(target)
+    if found != total:  # total is the size of the product set, by W-invariance
         raise CrystalInvariantError(
             f"components of {spec} hold {found} elements, but its product set has {total}"
         )
-    # decompose_set's order; Decomposition then sorts by weight, so this
-    # decides the order only among components of one weight
-    comps.sort(key=lambda c: c.witness.sort_key())
-    return Decomposition(comps)
+    return Counter({nu.coeffs: m for nu, m in peeled})
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -314,7 +314,7 @@ def general_product_decomposition(
 @dataclass(frozen=True)
 class CellResult:
     """One verify cell.  bruteforce, named as the document's key, holds the
-    pairs of decompose_product_highest_weights."""
+    pairs of decompose_product_character."""
 
     n: int
     p: int
@@ -366,8 +366,8 @@ class VerificationReport:
 
 
 def verify_range(n_max: int, m_max: int) -> VerificationReport:
-    """Compare the highest-weight decomposition against the closed form on
-    every cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
+    """Compare the character decomposition against the closed form on every
+    cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
     check_rank(n_max)
     check_positive(m_max, "m_max")
     start = time.perf_counter()
@@ -377,7 +377,8 @@ def verify_range(n_max: int, m_max: int) -> VerificationReport:
             for q in range(1, n + 1):
                 for m in range(1, m_max + 1):
                     spec = ProductSpec(n, p, q, m)
-                    found = decomposition_pairs(decompose_product_highest_weights(spec))
+                    character = decompose_product_character(spec)
+                    found = tuple(sorted(weight_to_pair(Weight(w)) for w in character.elements()))
                     predicted = product_decomposition_closed_form(spec)
                     cells.append(CellResult(n, p, q, m, found, predicted))
     elapsed = time.perf_counter() - start

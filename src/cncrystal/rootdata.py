@@ -15,6 +15,7 @@ The vertex budget lives here too, in the one module every layer imports.
 from __future__ import annotations
 
 import os
+from functools import lru_cache
 from typing import Iterable
 
 DEFAULT_VERTEX_BUDGET = 10**6
@@ -235,6 +236,42 @@ def weyl_dimension(weight: Weight) -> int:
             numerator *= (shifted[i] - shifted[j]) * (shifted[i] + shifted[j])
             denominator *= (j - i) * (2 * n - i - j)
     return numerator // denominator
+
+
+def weight_multiplicity(highest: Weight, weight: Weight) -> int:
+    """Multiplicity of weight in the irreducible C_n module of dominant highest
+    weight lambda: the number of elements of B(lambda) of that weight."""
+    if not highest.is_dominant():
+        raise ValueError(f"weight_multiplicity needs a dominant highest weight, got {highest}")
+    highest._check_same_rank(weight)
+    return _freudenthal(highest.to_epsilon(), weight.to_epsilon())
+
+
+@lru_cache(maxsize=1 << 14)
+def _freudenthal(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
+    """Freudenthal's formula, exact, with the rho, roots and dot product of weyl_dimension:
+    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{alpha>0, k>=1} (mu+k alpha, alpha) m(mu+k alpha)."""
+    # W signs and permutes coordinates, keeping m: make mu dominant.  It is a weight of V(lam)
+    # only if lam - mu, a sum of simple roots, has no negative partial sum and an even total.
+    dominant = tuple(sorted(map(abs, mu), reverse=True))
+    if mu != dominant:
+        return _freudenthal(lam, dominant)
+    sums = [sum(lam[:k]) - sum(mu[:k]) for k in range(1, len(lam) + 1)]
+    if min(sums) < 0 or sums[-1] % 2 or mu == lam:
+        return int(mu == lam)
+    n, bound, total = len(lam), sum(x * x for x in lam), 0
+    roots = [tuple((k == i) + s * (k == j) for k in range(n))  # eps_i + s eps_j, j >= i
+             for i in range(n) for j in range(i, n) for s in (1, -1) if j > i or s > 0]
+    for alpha in roots:
+        # weights of V(lam) are at most |lam| long, and (mu, alpha) >= 0 makes
+        # |mu + k alpha| grow with k: the string ends at the first k past |lam|
+        nu = tuple(x + a for x, a in zip(mu, alpha))
+        while sum(x * x for x in nu) <= bound:
+            total += _freudenthal(lam, nu) * sum(x * a for x, a in zip(nu, alpha))
+            nu = tuple(x + a for x, a in zip(nu, alpha))
+    # |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho) > 0, as mu < lam
+    gap = sum((a - b) * (a + b + 2 * r) for a, b, r in zip(lam, mu, range(n, 0, -1)))
+    return 2 * total // gap
 
 
 def simple_root(n: int, i: int) -> Weight:

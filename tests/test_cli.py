@@ -9,6 +9,8 @@ import cncrystal
 from cncrystal import cli, tableaux
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError
+from cncrystal.monomials import Monomial
+from cncrystal.products import fundamental_crystal
 
 
 def run_cli(capsys, *argv):
@@ -152,7 +154,8 @@ def test_budget_env_var(capsys, monkeypatch):
         capsys, "graph", "--rank", "5", "--k", "3", "--format", "dot"
     )
     assert code == 1
-    assert "budget" in err
+    assert out == ""
+    assert err == "error: closure of Y3(1) at rank 5 exceeds the vertex budget 5\n"
     for value in ("not-a-number", "0"):
         monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", value)
         code, out, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
@@ -173,12 +176,39 @@ def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):
 
 
 def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, monkeypatch):
-    # the first cell, rank 2 with p = q = 1, forms 4*4 products; its factors fit
-    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "15")
-    code, out, err = run_cli(capsys, "verify", "--n-max", "3", "--m-max", "1")
+    # The first cell, rank 2 with p = q = 1, forms 1, 2 and 4 products of the
+    # dominant weights 2L1, L2 and 0, in that order; the 4 are each letter
+    # times its negative.  4 is also the size of its factors, so they are
+    # built (and cached) first, and only the products meet the budget.
+    for k in (1, 2):
+        fundamental_crystal(2, k, 1)
+    formed = []
+    multiply = Monomial.__mul__
+
+    def counted(a, b):
+        formed.append((a, b))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Monomial, "__mul__", counted)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "3")
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
     assert code == 1
     assert out == ""
-    assert "lengths 1 and 1 at rank 2 form 4*4 products: 16 exceeds the vertex budget 15" in err
+    assert err == (
+        "error: lengths 1 and 1 at rank 2, products of weight 0: 4 exceeds the vertex budget 3\n"
+    )
+    assert len(formed) == 1 + 2  # none of weight 0
+    monkeypatch.undo()
+    # at 4 the first cell passes; the p = q = 2 cell forms 5 products of weight 0
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "4")
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
+    assert code == 1
+    assert out == ""
+    assert "lengths 2 and 2 at rank 2, products of weight 0: 5 exceeds" in err
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
+    code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
+    assert code == 0
+    assert out.endswith('{"summary":true,"n_max":2,"m_max":1,"cells":4,"mismatches":0}\n')
 
 
 def test_budget_refuses_the_column_oracle_before_any_column(capsys, monkeypatch):

@@ -38,7 +38,8 @@ def test_closure_of_identity_monomial():
 
 def test_closure_budget(monkeypatch):
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "10")
-    with pytest.raises(VertexBudgetExceeded, match="vertex budget 10 exceeded"):
+    message = r"closure of Y3\(1\) at rank 5 exceeds the vertex budget 10"
+    with pytest.raises(VertexBudgetExceeded, match=message):
         generate_closure([Monomial.generator(5, 3, 1)])
 
 

@@ -2,6 +2,7 @@ import json
 from collections import Counter
 
 import pytest
+from highest_weight_reference import decompose_product_highest_weights
 
 from cncrystal import products
 from cncrystal.graphs import CrystalInvariantError, is_closed
@@ -12,7 +13,7 @@ from cncrystal.products import (
     component_threshold,
     predicted_components,
     decompose_product_bruteforce,
-    decompose_product_highest_weights,
+    decompose_product_character,
     decomposition_pairs,
     decomposition_to_json,
     fundamental_crystal,
@@ -87,7 +88,8 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
 
 
 def test_highest_weight_path_equals_brute_force():
-    # every cell with n <= 4 and m <= 2n: same components, same witnesses, same order
+    # every cell with n <= 4 and m <= 2n: same components, same witnesses, same
+    # order; and the character path gives the same weight multiset
     for n in range(2, 5):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
@@ -97,6 +99,50 @@ def test_highest_weight_path_equals_brute_force():
                     fast = decompose_product_highest_weights(spec)
                     assert fast == brute, spec
                     assert [c.witness for c in fast] == [c.witness for c in brute], spec
+                    assert decompose_product_character(spec) == brute.weight_multiset(), spec
+
+
+def test_character_path_equals_the_highest_weight_path_at_rank5():
+    for p in range(1, 6):
+        for q in range(1, 6):
+            for m in range(1, 7):
+                spec = ProductSpec(5, p, q, m)
+                expected = decompose_product_highest_weights(spec).weight_multiset()
+                assert decompose_product_character(spec) == expected, spec
+
+
+def test_character_path_invariants_name_the_spec(monkeypatch):
+    spec = ProductSpec(3, 2, 3, 4)
+    multiplicity = products.weight_multiplicity
+    # a hundredfold multiplicity over-subtracts, leaving a negative remainder
+    monkeypatch.setattr(products, "weight_multiplicity", lambda hw, w: 100 * multiplicity(hw, w))
+    with pytest.raises(CrystalInvariantError, match=r"gives B\(Λ1\+Λ2\) -\d+ times") as info:
+        decompose_product_character(spec)
+    assert str(spec) in str(info.value)
+    # a zero multiplicity below the top never subtracts: too many components, too many elements
+    monkeypatch.setattr(products, "weight_multiplicity", lambda hw, w: int(hw == w))
+    with pytest.raises(CrystalInvariantError, match="but its product set has") as info:
+        decompose_product_character(spec)
+    assert str(spec) in str(info.value)
+
+
+def test_verify_forms_no_product_set_and_applies_no_operator(monkeypatch):
+    # the fundamental crystals are built (by closure, with e and f) beforehand;
+    # verify then only multiplies and weighs what the cache holds
+    for n in range(2, 4):
+        for k in range(1, n + 1):
+            for m in range(1, 3):
+                fundamental_crystal(n, k, m)
+
+    def forbidden(*args):
+        raise AssertionError("verify called a forbidden function")
+
+    monkeypatch.setattr(products, "product_set", forbidden)
+    for name in ("e", "f", "string_stats"):
+        monkeypatch.setattr(Monomial, name, forbidden)
+    report = verify_range(3, 2)
+    assert len(report.cells) == (4 + 9) * 2
+    assert report.mismatches == ()
 
 
 def test_a_missed_highest_weight_breaks_conservation(monkeypatch):

@@ -1,8 +1,11 @@
+import itertools
+from collections import Counter
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cncrystal.monomials import m_k_set
 from cncrystal.products import fundamental_crystal
 from cncrystal.rootdata import (
     Weight,
@@ -12,8 +15,10 @@ from cncrystal.rootdata import (
     check_rank,
     letter_alphabet,
     simple_root,
+    weight_multiplicity,
     weyl_dimension,
 )
+from cncrystal.tableaux import column_crystal
 
 
 def test_cartan_entries_rank4():
@@ -155,3 +160,61 @@ def test_weyl_dimension_rejects_a_non_dominant_weight():
         weyl_dimension(Weight((1, -1)))
     with pytest.raises(ValueError, match="needs a dominant weight"):
         weyl_dimension(simple_root(3, 2))
+
+
+def _orbit_size(eps):
+    """|W mu| by brute force: the distinct signed permutations of mu's epsilon-coordinates."""
+    return len({
+        tuple(s * x for s, x in zip(signs, perm))
+        for perm in set(itertools.permutations(eps))
+        for signs in itertools.product((1, -1), repeat=len(eps))
+    })
+
+
+def test_weight_multiplicities_add_up_to_the_weyl_dimension():
+    # every weight of V(L_a + L_c) has epsilon-entries at most 2 in absolute
+    # value, so its dominant conjugate is a non-increasing tuple over 0..2
+    for n in range(2, 6):
+        dominant = [eps for eps in itertools.product(range(3), repeat=n)
+                    if list(eps) == sorted(eps, reverse=True)]
+        for a in range(n + 1):
+            for c in range(max(a, 1), n + 1):
+                highest = Weight.fundamental(n, a) + Weight.fundamental(n, c)
+                total = sum(
+                    _orbit_size(eps) * weight_multiplicity(highest, Weight.from_epsilon(eps))
+                    for eps in dominant
+                )
+                assert total == weyl_dimension(highest), (n, a, c)
+
+
+def test_weight_multiplicities_count_the_fundamental_monomial_sets():
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            highest = Weight.fundamental(n, k)
+            counts = Counter(x.weight() for x in m_k_set(n, k, 1))
+            for weight, count in counts.items():
+                assert weight_multiplicity(highest, weight) == count, (n, k, weight)
+            # weights outside the set have multiplicity 0
+            assert weight_multiplicity(highest, Weight.from_epsilon((2,) + (0,) * (n - 1))) == 0
+            assert sum(counts.values()) == weyl_dimension(highest)
+
+
+def test_weight_multiplicities_count_the_column_crystals():
+    for n in range(2, 6):
+        for length in range(1, n + 1):
+            highest = Weight.fundamental(n, length)
+            counts = Counter(column.weight() for column in column_crystal(n, length))
+            assert {w: weight_multiplicity(highest, w) for w in counts} == counts, (n, length)
+
+
+def test_weight_multiplicity_conjugates_and_checks_its_arguments():
+    highest = Weight.fundamental(3, 2)
+    # the zero weight of V(L_2) at rank 3 has multiplicity 14 - 12 = 2
+    assert weight_multiplicity(highest, Weight.zero(3)) == 2
+    # non-dominant weights take the multiplicity of their dominant conjugate
+    for eps, expected in [((1, -1, 0), 1), ((-1, 0, 1), 1), ((0, 0, -1), 0)]:
+        assert weight_multiplicity(highest, Weight.from_epsilon(eps)) == expected
+    with pytest.raises(ValueError, match="needs a dominant highest weight"):
+        weight_multiplicity(simple_root(3, 2), Weight.zero(3))
+    with pytest.raises(ValueError, match="rank mismatch"):
+        weight_multiplicity(highest, Weight.zero(2))
