@@ -11,10 +11,10 @@ Run:  python3 demos/product_vs_tensor.py
 
 from cncrystal import (
     ProductSpec,
-    component_threshold,
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
+    predicted_components,
     product_decomposition_closed_form,
     product_set,
     tensor_decomposition_closed_form,
@@ -35,7 +35,7 @@ print("== rank 5, p = q = 3: thresholds gate the components ==")
 tensor = tensor_decomposition_closed_form(5, 3, 3)
 print("  tensor constituents:", ", ".join(str(weight_of_pair(5, a, c)) for a, c in tensor))
 for a, c in tensor:
-    threshold = component_threshold(5, 3, 3, a, c)
+    threshold = predicted_components(5, 3, 3)[a, c]
     print(f"  {str(weight_of_pair(5, a, c)):10s} appears once m >= {threshold}")
 print()
 

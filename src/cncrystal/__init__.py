@@ -26,10 +26,8 @@ from .monomials import (
     x_monomial,
 )
 from .products import (
-    ComponentPrediction,
     ProductSpec,
     VerificationReport,
-    component_threshold,
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
@@ -62,7 +60,6 @@ from .tableaux import (
 __all__ = [
     "Column",
     "Component",
-    "ComponentPrediction",
     "CrystalGraph",
     "CrystalInvariantError",
     "Decomposition",
@@ -77,7 +74,6 @@ __all__ = [
     "cartan_matrix",
     "column_crystal",
     "column_is_admissible",
-    "component_threshold",
     "decompose_product_bruteforce",
     "decompose_set",
     "decomposition_pairs",

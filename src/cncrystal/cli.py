@@ -70,12 +70,11 @@ def build_parser() -> _Parser:
            pq=True, m=True)
     v = sub.add_parser(
         "verify",
-        help="exhaustive closed-form check: each product set's components peeled "
-        "off its dominant-weight counts with Freudenthal multiplicities",
+        help="exhaustive closed-form check, written as JSON lines: each product set's "
+        "components peeled off its dominant-weight counts with Freudenthal multiplicities",
     )
     v.add_argument("--n-max", type=int, required=True)
     v.add_argument("--m-max", type=int, required=True)
-    v.add_argument("--format", choices=("text", "json"), default="text")
     v.add_argument("--output", default=None)
     return parser
 

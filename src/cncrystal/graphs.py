@@ -13,7 +13,7 @@ order and every exported document are deterministic.
 from __future__ import annotations
 
 import json
-from collections import Counter, deque
+from collections import Counter
 from typing import Iterable, Sequence
 
 from .rootdata import VertexBudgetExceeded, vertex_budget
@@ -59,7 +59,6 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
         raise ValueError("all closure seeds must share one rank")
     index: dict = {}
     order: list = []
-    queue = deque()
     refusal = f"closure of {seed_list[0]} at rank {rank} exceeds the vertex budget {budget}"
 
     def add(v):
@@ -67,15 +66,11 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
             raise VertexBudgetExceeded(refusal)
         index[v] = len(order)
         order.append(v)
-        queue.append(v)
 
     for s in seed_list:
-        if s not in index:
-            add(s)
+        add(s)
     edges: list[tuple[int, int, int]] = []
-    while queue:
-        v = queue.popleft()
-        vi = index[v]
+    for vi, v in enumerate(order):  # add appends: the discovery order is the queue
         for i in range(1, rank + 1):
             up = v.e(i)
             if up is not None and up not in index:

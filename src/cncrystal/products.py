@@ -15,13 +15,15 @@ three ways:
 decompose-product compares brute force with the closed form; verify_range
 compares the character path with it.
 
-For a pair (a, c) inside the admissible region the gate is
+The closed form is one table, predicted_components: every tensor constituent
+(a, c) with its threshold, the least m at which it appears,
 
-    gap = (p + q) - (a + c) > 0 and even:  appears iff m >= (q-p-a-c+2)/2 + n,
-    gap = 0:                               appears iff m >= q - a + 1,
+    gap = (p + q) - (a + c) > 0 and even:  m >= (q-p-a-c+2)/2 + n,
+    gap = 0:                               m >= q - a + 1,
 
-with the top component (a, c) = (p, q) always present.  Dropping the gates
-altogether recovers the tensor-product decomposition rule.
+except the top component (a, c) = (min(p, q), max(p, q)), present from m = 1.
+Its keys are the tensor-product decomposition; the product keeps those whose
+threshold is at most m.
 """
 
 from __future__ import annotations
@@ -61,17 +63,18 @@ def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     """Connected component of Y_k(m): the monomial model of the k-th
     fundamental crystal, cross-checked against the X-word enumeration.
 
-    A cache hit forms no new elements, so it needs no budget check; a miss is
-    bounded by the closure and the word enumeration."""
+    A cache hit forms no new elements, so it needs no budget check.  A miss
+    enumerates the X-words first: their C(2n, k) budget check refuses an
+    over-budget length before the closure starts."""
     check_rank(n)
     check_index(n, k, "k")
-    graph = generate_closure([Monomial.generator(n, k, m)])
-    closure = tuple(sorted(graph.vertices))
-    if closure != m_k_set(n, k, m):
+    words = m_k_set(n, k, m)
+    closure = tuple(sorted(generate_closure([Monomial.generator(n, k, m)]).vertices))
+    if closure != words:
         raise CrystalInvariantError(
             f"closure of Y_{k}({m}) disagrees with the X-word enumeration at rank {n}"
         )
-    return closure
+    return closure  # the operators' images share key triples; the words' do not
 
 
 def product_set(spec: ProductSpec) -> set[Monomial]:
@@ -164,83 +167,48 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
 # -- closed forms ---------------------------------------------------------------
 
 
-def _region_pairs(n: int, p: int, q: int):
-    """(a, c) with 0 <= a <= c <= n, a <= p, |triangle| inequalities, even
-    nonnegative gap, and half-sum bound; gap 0 yields the top weights."""
-    for a in range(0, min(p, n) + 1):
+def predicted_components(n: int, p: int, q: int) -> dict[tuple[int, int], int]:
+    """Every tensor constituent L_a + L_c of the (p, q) pair, mapped to its
+    threshold: the least left shift m at which it is present in the product.
+    Keys come in canonical (sorted) order.
+
+    A pair is a constituent when 0 <= a <= c <= n, a <= p, |p - q| <= c - a,
+    the gap (p + q) - (a + c) is even and nonnegative, and
+    (p + q + c - a) / 2 <= n.  Its threshold is 1 for the top pair
+    (min(p, q), max(p, q)), q - a + 1 for the other pairs of gap 0, and
+    (q - p - a - c + 2) / 2 + n for a positive gap."""
+    check_rank(n)
+    check_index(n, p, "p")
+    check_index(n, q, "q")
+    table = {}
+    for a in range(p + 1):
         for c in range(a, n + 1):
             gap = (p + q) - (a + c)
-            if gap < 0 or gap % 2:
+            if gap < 0 or gap % 2 or a + q > p + c or a + p > q + c or (p + q + c - a) // 2 > n:
                 continue
-            if a + q > p + c or a + p > q + c:
-                continue
-            if (p + q + c - a) // 2 > n:
-                continue
-            yield a, c, gap
+            if (a, c) == (min(p, q), max(p, q)):
+                table[a, c] = 1
+            elif gap == 0:
+                table[a, c] = q - a + 1
+            elif (q - p - a - c) % 2:  # an even gap makes the halving below exact
+                raise CrystalInvariantError(
+                    f"odd threshold numerator for (a,c)=({a},{c}) in ({n},{p},{q})"
+                )
+            else:
+                table[a, c] = (q - p - a - c + 2) // 2 + n
+    return table
 
 
 def tensor_decomposition_closed_form(n: int, p: int, q: int) -> tuple[tuple[int, int], ...]:
     """Pairs (a, c) with L_a + L_c an irreducible constituent of the tensor
     product of the fundamental crystals p and q (multiplicity one each)."""
-    check_rank(n)
-    check_index(n, p, "p")
-    check_index(n, q, "q")
-    return tuple((a, c) for a, c, _ in _region_pairs(n, p, q))
-
-
-@dataclass(frozen=True)
-class ComponentPrediction:
-    """One candidate constituent L_a + L_c with its gate.
-
-    family "always" is the top component (a, c) = (p, q) up to order;
-    "even_gap" has (p+q)-(a+c) positive and even; "zero_gap" has
-    (p+q) = (a+c).  threshold is the least left shift m at which the
-    component is present (1 for "always")."""
-
-    a: int
-    c: int
-    family: str
-    threshold: int
-
-    def present(self, m: int) -> bool:
-        return m >= self.threshold
-
-
-def predicted_components(n: int, p: int, q: int) -> tuple[ComponentPrediction, ...]:
-    """Every tensor constituent of the (p, q) pair with its product gate."""
-    out = []
-    for a, c, gap in _region_pairs(n, p, q):
-        if (a, c) == (min(p, q), max(p, q)):
-            out.append(ComponentPrediction(a, c, "always", 1))
-        elif gap == 0:
-            out.append(ComponentPrediction(a, c, "zero_gap", q - a + 1))
-        else:
-            # gap is positive and even, so this halving is exact
-            numerator = q - p - a - c + 2
-            if numerator % 2:
-                raise CrystalInvariantError(
-                    f"odd threshold numerator for (a,c)=({a},{c}) in ({n},{p},{q})"
-                )
-            out.append(ComponentPrediction(a, c, "even_gap", numerator // 2 + n))
-    return tuple(out)
-
-
-def component_threshold(n: int, p: int, q: int, a: int, c: int) -> int | None:
-    """Least m at which (a, c) enters the product decomposition, or None when
-    the pair is outside the tensor region."""
-    for prediction in predicted_components(n, p, q):
-        if (prediction.a, prediction.c) == (a, c):
-            return prediction.threshold
-    return None
+    return tuple(predicted_components(n, p, q))
 
 
 def product_decomposition_closed_form(spec: ProductSpec) -> tuple[tuple[int, int], ...]:
     """Pairs (a, c) predicted for the product at shift gap m, in canonical order."""
-    return tuple(
-        (pred.a, pred.c)
-        for pred in predicted_components(spec.n, spec.p, spec.q)
-        if pred.present(spec.m)
-    )
+    table = predicted_components(spec.n, spec.p, spec.q)
+    return tuple(pair for pair, threshold in table.items() if threshold <= spec.m)
 
 
 def weight_of_pair(n: int, a: int, c: int) -> Weight:
@@ -249,19 +217,12 @@ def weight_of_pair(n: int, a: int, c: int) -> Weight:
 
 
 def weight_to_pair(weight: Weight) -> tuple[int, int]:
-    """Inverse of weight_of_pair on weights of total fundamental degree <= 2."""
-    nonzero = [(i, c) for i, c in enumerate(weight.coeffs, start=1) if c]
-    if not nonzero:
-        return (0, 0)
-    if len(nonzero) == 1:
-        i, c = nonzero[0]
-        if c == 1:
-            return (0, i)
-        if c == 2:
-            return (i, i)
-    elif len(nonzero) == 2 and all(c == 1 for _, c in nonzero):
-        return (nonzero[0][0], nonzero[1][0])
-    raise ValueError(f"{weight} is not a sum of two fundamental weights")
+    """Inverse of weight_of_pair: L_a + L_c is (2^a, 1^(c-a), 0^(n-c)) in epsilon-coordinates."""
+    eps = weight.to_epsilon()
+    a, c = eps.count(2), len(eps) - eps.count(0)
+    if eps != (2,) * a + (1,) * (c - a) + (0,) * (len(eps) - c):
+        raise ValueError(f"{weight} is not a sum of two fundamental weights")
+    return (a, c)
 
 
 def decomposition_pairs(decomposition: Decomposition) -> tuple[tuple[int, int], ...]:

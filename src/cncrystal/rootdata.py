@@ -244,18 +244,23 @@ def weight_multiplicity(highest: Weight, weight: Weight) -> int:
     if not highest.is_dominant():
         raise ValueError(f"weight_multiplicity needs a dominant highest weight, got {highest}")
     highest._check_same_rank(weight)
-    return _freudenthal(highest.to_epsilon(), weight.to_epsilon())
+    return _freudenthal(highest.to_epsilon(), _dominant(weight.to_epsilon()))
 
 
-@lru_cache(maxsize=1 << 14)
+def _dominant(eps: tuple[int, ...]) -> tuple[int, ...]:
+    """The dominant W-conjugate of an epsilon-vector: W signs and permutes coordinates."""
+    return tuple(sorted(map(abs, eps), reverse=True))
+
+
+@lru_cache(maxsize=None)
 def _freudenthal(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     """Freudenthal's formula, exact, with the rho, roots and dot product of weyl_dimension:
-    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{alpha>0, k>=1} (mu+k alpha, alpha) m(mu+k alpha)."""
-    # W signs and permutes coordinates, keeping m: make mu dominant.  It is a weight of V(lam)
-    # only if lam - mu, a sum of simple roots, has no negative partial sum and an even total.
-    dominant = tuple(sorted(map(abs, mu), reverse=True))
-    if mu != dominant:
-        return _freudenthal(lam, dominant)
+    (|lam+rho|^2 - |mu+rho|^2) m(mu) = 2 sum_{alpha>0, k>=1} (mu+k alpha, alpha) m(mu+k alpha).
+    mu is dominant, as W keeps m, so the cache holds only dominant pairs.  For the
+    highest weights L_a + L_c of the character path, both are dominant integer
+    vectors of squared length at most 4n, a set the rank bounds."""
+    # mu is a weight of V(lam) only if lam - mu, a sum of simple roots, has no
+    # negative partial sum and an even total
     sums = [sum(lam[:k]) - sum(mu[:k]) for k in range(1, len(lam) + 1)]
     if min(sums) < 0 or sums[-1] % 2 or mu == lam:
         return int(mu == lam)
@@ -267,7 +272,7 @@ def _freudenthal(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
         # |mu + k alpha| grow with k: the string ends at the first k past |lam|
         nu = tuple(x + a for x, a in zip(mu, alpha))
         while sum(x * x for x in nu) <= bound:
-            total += _freudenthal(lam, nu) * sum(x * a for x, a in zip(nu, alpha))
+            total += _freudenthal(lam, _dominant(nu)) * sum(x * a for x, a in zip(nu, alpha))
             nu = tuple(x + a for x, a in zip(nu, alpha))
     # |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho) > 0, as mu < lam
     gap = sum((a - b) * (a + b + 2 * r) for a, b, r in zip(lam, mu, range(n, 0, -1)))

@@ -131,6 +131,7 @@ def test_verify_small_range(capsys):
         (["decompose-tensor", "--rank", "2", "--p", "3", "--q", "1"], "--p"),
         (["decompose-tensor", "--rank", "2", "--p", "1", "--q", "0"], "--q"),
         (["elements", "--rank", "1", "--k", "1"], "--rank"),
+        (["verify", "--n-max", "2", "--m-max", "1", "--format", "json"], "--format"),
     ],
 )
 def test_usage_errors_name_the_parameter(capsys, argv, needle):

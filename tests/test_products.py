@@ -8,9 +8,7 @@ from cncrystal import products
 from cncrystal.graphs import CrystalInvariantError, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.products import (
-    ComponentPrediction,
     ProductSpec,
-    component_threshold,
     predicted_components,
     decompose_product_bruteforce,
     decompose_product_character,
@@ -188,6 +186,18 @@ def test_a_repeated_product_set_is_checked_against_the_budget_again(monkeypatch)
         product_set(spec)
 
 
+def test_a_fundamental_crystal_is_refused_over_budget_before_its_closure(monkeypatch):
+    # Y_3(1) at rank 5 walks C(10, 3) = 120 X-words and closes to 110 elements
+    def no_closure(seeds):
+        raise AssertionError("the closure was started")
+
+    monkeypatch.setattr(products, "generate_closure", no_closure)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "119")
+    message = r"length 3 at rank 5 walks C\(10, 3\) X-words: 120 exceeds the vertex budget 119"
+    with pytest.raises(VertexBudgetExceeded, match=message):
+        fundamental_crystal.__wrapped__(5, 3, 1)  # uncached
+
+
 def test_tensor_closed_form_examples():
     assert tensor_decomposition_closed_form(2, 1, 1) == ((0, 0), (0, 2), (1, 1))
     assert set(tensor_decomposition_closed_form(5, 3, 3)) == {
@@ -226,46 +236,41 @@ def test_product_closed_form_thresholds_c5():
         (1, 1): 5,
         (0, 0): 6,
     }
+    table = predicted_components(5, 3, 3)
     for (a, c), start in thresholds.items():
-        assert component_threshold(5, 3, 3, a, c) == start
+        assert table[a, c] == start
         for m in range(1, 9):
             spec = ProductSpec(5, 3, 3, m)
             present = (a, c) in product_decomposition_closed_form(spec)
             assert present == (m >= start)
-    assert component_threshold(5, 3, 3, 3, 3) == 1
-    assert component_threshold(5, 3, 3, 2, 3) is None
+    assert table[3, 3] == 1
+    assert (2, 3) not in table
 
 
 def test_predicted_components_families():
-    predictions = {(p.a, p.c): p for p in predicted_components(5, 3, 3)}
-    assert predictions[(3, 3)] == ComponentPrediction(3, 3, "always", 1)
-    assert predictions[(2, 4)].family == "zero_gap"
-    assert predictions[(1, 5)] == ComponentPrediction(1, 5, "zero_gap", 3)
-    assert predictions[(0, 0)] == ComponentPrediction(0, 0, "even_gap", 6)
-    # the family partitions: gap even-positive vs zero, top pair aside
+    table = predicted_components(5, 3, 3)
+    assert table[3, 3] == 1
+    assert table[1, 5] == 3
+    assert table[0, 0] == 6
+    # the gap is even and nonnegative; the top pair is present from m = 1
     for n in range(2, 5):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                for pred in predicted_components(n, p, q):
-                    gap = p + q - pred.a - pred.c
-                    if pred.family == "always":
-                        assert (pred.a, pred.c) == (min(p, q), max(p, q))
-                    elif pred.family == "zero_gap":
-                        assert gap == 0
-                    else:
-                        assert gap > 0 and gap % 2 == 0
-                    assert pred.threshold >= 1
-                    assert pred.present(pred.threshold)
-                    assert not pred.present(pred.threshold - 1) or pred.threshold == 1
+                table = predicted_components(n, p, q)
+                assert table[min(p, q), max(p, q)] == 1
+                for (a, c), threshold in table.items():
+                    gap = p + q - a - c
+                    assert gap >= 0 and gap % 2 == 0
+                    assert threshold >= 1
 
 
 def test_predictions_cover_the_tensor_constituents():
     for n in range(2, 5):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                assert tuple(
-                    (pr.a, pr.c) for pr in predicted_components(n, p, q)
-                ) == tensor_decomposition_closed_form(n, p, q)
+                pairs = tuple(predicted_components(n, p, q))
+                assert pairs == tensor_decomposition_closed_form(n, p, q)
+                assert list(pairs) == sorted(pairs)
 
 
 def test_product_closed_form_m1_is_top_component_only():
@@ -304,8 +309,9 @@ def test_weight_pair_roundtrip():
         for a in range(0, n + 1):
             for c in range(a, n + 1):
                 assert weight_to_pair(weight_of_pair(n, a, c)) == (a, c)
-    with pytest.raises(ValueError):
-        weight_to_pair(Weight((3, 0)))
+    for coeffs in ((3, 0), (1, -1), (2, 1), (0, 0, 3)):
+        with pytest.raises(ValueError, match="is not a sum of two fundamental weights"):
+            weight_to_pair(Weight(coeffs))
 
 
 # -- general lengths and shifts ------------------------------------------------------
