@@ -1,9 +1,9 @@
 """Generic machinery for finite crystals.
 
 Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
-``e(i)``, ``f(i)``, ``sort_key()``, plus hashing and equality.  Monomials and
-tableau letters/columns both qualify, so closure and decomposition are
-written once.
+``images(i)`` (the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``,
+plus hashing and equality.  Monomials and tableau columns both qualify, so
+closure and decomposition are written once.
 
 Closure is breadth-first from seeds sorted by ``sort_key``, and components
 are ordered by their witnesses' ``sort_key``, so vertex order, component
@@ -72,10 +72,9 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
     edges: list[tuple[int, int, int]] = []
     for vi, v in enumerate(order):  # add appends: the discovery order is the queue
         for i in range(1, rank + 1):
-            up = v.e(i)
+            up, down = v.images(i)
             if up is not None and up not in index:
                 add(up)
-            down = v.f(i)
             if down is not None:
                 if down not in index:
                     add(down)
@@ -88,10 +87,9 @@ def is_closed(elements: Iterable) -> bool:
     elems = set(elements)
     for v in elems:
         for i in range(1, v.rank + 1):
-            up = v.e(i)
+            up, down = v.images(i)
             if up is not None and up not in elems:
                 return False
-            down = v.f(i)
             if down is not None and down not in elems:
                 return False
     return True
@@ -153,11 +151,11 @@ def decompose_set(elements: Iterable) -> Decomposition:
     """Split a finite set closed under every e(i) and f(i) into components.
 
     One breadth-first walk per component follows every e(i) and f(i) image,
-    which proves the set closed: an image outside it raises ValueError.  The
-    walk raises CrystalInvariantError when it enters an earlier component,
-    when a component holds other than one highest-weight element (all e(i)
-    None), or when that element's weight is not dominant.  A set argument is
-    walked as is; witnesses are ordered by sort_key.
+    which proves the set closed: an image outside it raises ValueError naming
+    the operator, row and element.  CrystalInvariantError: the walk enters an
+    earlier component, a component holds other than one highest-weight
+    element (all e(i) None), or that element's weight is not dominant.  A set
+    argument is walked as is; witnesses are ordered by sort_key.
     """
     elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
     owner: dict = {}
@@ -171,17 +169,19 @@ def decompose_set(elements: Iterable) -> Decomposition:
         for v in walk:
             top = True
             for i in range(1, v.rank + 1):
-                up = v.e(i)
+                up, down = v.images(i)
                 if up is not None:
                     top = False
-                for w in (up, v.f(i)):
-                    if w is not None and owner.get(w) != label:
-                        if w in owner:
-                            raise CrystalInvariantError("components are not pairwise disjoint")
-                        if w not in elems:
-                            raise ValueError("decompose_set requires a set closed under e and f")
-                        owner[w] = label
-                        walk.append(w)
+                for w in (up, down):
+                    if w is None or (seen := owner.get(w)) == label:
+                        continue
+                    if seen is not None:
+                        raise CrystalInvariantError("components are not pairwise disjoint")
+                    if w not in elems:
+                        op = "e" if w is up else "f"
+                        raise ValueError(f"{op}_{i} of {v} leaves the set, not closed under e and f")
+                    owner[w] = label
+                    walk.append(w)
             if top:
                 highest.append(v)
         if len(highest) != 1:

@@ -198,19 +198,22 @@ class Monomial:
     def phi(self, i: int) -> int:
         return self.string_stats(i).phi
 
+    def images(self, i: int) -> "tuple[Monomial | None, Monomial | None]":
+        """(e_i, f_i) from one string scan; this holds both operators' rule.
+        e_i multiplies by A_i(n_e), or is None when eps_i = 0; f_i divides by
+        A_i(n_f), or is None when phi_i = 0."""
+        eps, phi, n_e, n_f = self.string_stats(i)
+        up = self._merge(_root_triples(self.rank, i, n_e, 1)) if eps else None
+        down = self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None
+        return up, down
+
     def e(self, i: int) -> "Monomial | None":
-        """Raising operator: None when eps_i = 0, else multiply by A_i(n_e)."""
-        stats = self.string_stats(i)
-        if stats.epsilon == 0:
-            return None
-        return self._merge(_root_triples(self.rank, i, stats.n_e, 1))
+        """Raising operator: the first of images(i)."""
+        return self.images(i)[0]
 
     def f(self, i: int) -> "Monomial | None":
-        """Lowering operator: None when phi_i = 0, else divide by A_i(n_f)."""
-        stats = self.string_stats(i)
-        if stats.phi == 0:
-            return None
-        return self._merge(_root_triples(self.rank, i, stats.n_f, -1))
+        """Lowering operator: the second of images(i)."""
+        return self.images(i)[1]
 
     def is_highest_weight(self) -> bool:
         return all(self.string_stats(i).epsilon == 0 for i in range(1, self.rank + 1))

@@ -94,14 +94,14 @@ def _products(n: int, p: int, q: int, left, right) -> set[Monomial]:
 
 
 def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
-    """decompose_set, reporting an open product set as a broken invariant:
-    the theory says every such product set is operator-closed."""
+    """decompose_set, naming the spec and the phase of a broken invariant; an
+    open product set is one, since the theory says each is operator-closed."""
     try:
         return decompose_set(products)
     except ValueError as exc:
-        raise CrystalInvariantError(
-            f"product set for {spec} is not operator-closed"
-        ) from exc
+        raise CrystalInvariantError(f"product set for {spec} is not operator-closed: {exc}") from exc
+    except CrystalInvariantError as exc:
+        raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:

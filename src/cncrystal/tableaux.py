@@ -106,19 +106,21 @@ class Column:
     def phi(self, i: int) -> int:
         return len(self._signature(i)[1])
 
+    def images(self, i: int) -> "tuple[Column | None, Column | None]":
+        """(e_i, f_i) from one signature; this holds both operators' rule:
+        e_i raises the lowest free -, f_i lowers the highest free +."""
+        minus, plus = self._signature(i)
+        n, letters = self.rank, self.letters
+        up = self._replace(minus[-1], _raised(n, letters[minus[-1]], i)) if minus else None
+        return up, self._replace(plus[0], _lowered(n, letters[plus[0]], i)) if plus else None
+
     def e(self, i: int) -> "Column | None":
-        minus, _ = self._signature(i)
-        if not minus:
-            return None
-        pos = minus[-1]
-        return self._replace(pos, _raised(self.rank, self.letters[pos], i))
+        """Raising operator: the first of images(i)."""
+        return self.images(i)[0]
 
     def f(self, i: int) -> "Column | None":
-        _, plus = self._signature(i)
-        if not plus:
-            return None
-        pos = plus[0]
-        return self._replace(pos, _lowered(self.rank, self.letters[pos], i))
+        """Lowering operator: the second of images(i)."""
+        return self.images(i)[1]
 
     def is_highest_weight(self) -> bool:
         return all(self.epsilon(i) == 0 for i in range(1, self.rank + 1))

@@ -51,6 +51,9 @@ class TensorPair:
         down = self.right.f(i)
         return None if down is None else TensorPair(self.left, down)
 
+    def images(self, i: int) -> "tuple[TensorPair | None, TensorPair | None]":
+        return self.e(i), self.f(i)
+
     def sort_key(self):
         return (self.left.sort_key(), self.right.sort_key())
 

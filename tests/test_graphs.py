@@ -10,6 +10,7 @@ from cncrystal.graphs import (
     is_closed,
 )
 from cncrystal.monomials import Monomial
+from cncrystal.products import ProductSpec, product_set
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
@@ -72,16 +73,47 @@ def test_decompose_irreducible():
     assert comp.witness == Monomial.generator(2, 1, 1)
 
 
+# The closure of Y1(1) at rank 2 is the path Y1(1) -1-> a -2-> b -1-> c, so
+# each truncation below has exactly one image outside it, which the error names.
+
+
 def test_decompose_rejects_open_sets():
     vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         decompose_set(vertices[:2])
+    assert str(info.value).startswith(f"f_2 of {vertices[1]} leaves the set")
 
 
 def test_decompose_rejects_sets_missing_their_highest_weight():
     vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
-    with pytest.raises(ValueError, match="closed under e and f"):
+    with pytest.raises(ValueError, match="closed under e and f") as info:
         decompose_set(vertices[1:])
+    assert str(info.value).startswith(f"e_1 of {vertices[1]} leaves the set")
+
+
+def count_string_scans(monkeypatch):
+    calls = []
+    scan = Monomial.string_stats
+
+    def counted(self, i):
+        calls.append(i)
+        return scan(self, i)
+
+    monkeypatch.setattr(Monomial, "string_stats", counted)
+    return calls
+
+
+def test_decompose_set_scans_each_string_once(monkeypatch):
+    products = product_set(ProductSpec(3, 2, 3, 2))  # formed before the count starts
+    calls = count_string_scans(monkeypatch)
+    decompose_set(products)
+    assert len(products) * 3 == len(calls) == 378
+
+
+def test_generate_closure_scans_each_string_once(monkeypatch):
+    calls = count_string_scans(monkeypatch)
+    graph = generate_closure([Monomial.generator(4, 3, 1)])
+    assert len(graph) * 4 == len(calls) == 192
 
 
 def test_decompose_product_set_rank2():
@@ -141,6 +173,9 @@ class Toy:
 
     def f(self, i):
         return self._image(1, i)
+
+    def images(self, i):
+        return self.e(i), self.f(i)
 
     def weight(self):
         return Weight(self.table[self.name][2])

@@ -396,6 +396,21 @@ def test_operations_match_a_counter_reference_on_random_monomials():
                 assert a.f(i) is None
 
 
+def test_images_are_the_pair_of_e_and_f_on_random_monomials():
+    rng = random.Random(20261019)
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        mono = Monomial.from_factors(n, random_factors(rng, n))
+        for i in range(1, n + 1):
+            assert mono.images(i) == (mono.e(i), mono.f(i))
+        for i in (0, n + 1):
+            with pytest.raises(ValueError) as by_e:
+                mono.e(i)
+            with pytest.raises(ValueError) as by_images:
+                mono.images(i)
+            assert str(by_images.value) == str(by_e.value)
+
+
 def test_cancellation_gives_the_canonical_one():
     for n, factors in [(2, [(1, 1, 1)]), (3, [(1, 0, 2), (2, 1, -1), (3, 1, 1)]),
                        (5, [(5, 4, -3), (1, -2, 1), (3, 3, 2), (3, 4, -1)])]:

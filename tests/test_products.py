@@ -83,6 +83,20 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
     with pytest.raises(CrystalInvariantError, match="is not operator-closed") as info:
         decompose_product_bruteforce(spec)
     assert str(spec) in str(info.value)
+    assert "leaves the set" in str(info.value)
+
+
+def test_a_broken_decomposition_names_the_spec_and_the_phase(monkeypatch):
+    def broken(_products):
+        raise CrystalInvariantError("components are not pairwise disjoint")
+
+    spec = ProductSpec(2, 1, 1, 2)
+    monkeypatch.setattr(products, "decompose_set", broken)
+    with pytest.raises(CrystalInvariantError) as info:
+        decompose_product_bruteforce(spec)
+    assert str(info.value) == (
+        "decomposing ProductSpec(n=2, p=1, q=1, m=2): components are not pairwise disjoint"
+    )
 
 
 def test_highest_weight_path_equals_brute_force():

@@ -118,6 +118,20 @@ def test_column_matches_monomial_component_sizes():
             assert len(cols) == len(closure)
 
 
+def test_column_images_are_the_pair_of_e_and_f():
+    for n in range(2, 5):
+        for length in range(1, n + 1):
+            for column in column_crystal(n, length):
+                for i in range(1, n + 1):
+                    assert column.images(i) == (column.e(i), column.f(i))
+                for i in (0, n + 1):
+                    with pytest.raises(ValueError) as by_e:
+                        column.e(i)
+                    with pytest.raises(ValueError) as by_images:
+                        column.images(i)
+                    assert str(by_images.value) == str(by_e.value)
+
+
 def test_column_operator_example():
     top = Column(2, (1, 2))
     assert top.weight() == Weight.fundamental(2, 2)
