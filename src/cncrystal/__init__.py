@@ -45,7 +45,6 @@ from .rootdata import (
     VertexBudgetExceeded,
     Weight,
     cartan_entry,
-    cartan_matrix,
     simple_root,
     weyl_dimension,
 )
@@ -53,7 +52,6 @@ from .tableaux import (
     Column,
     column_crystal,
     column_is_admissible,
-    letter_crystal,
     tensor_highest_weights,
 )
 
@@ -71,7 +69,6 @@ __all__ = [
     "Weight",
     "XLetter",
     "cartan_entry",
-    "cartan_matrix",
     "column_crystal",
     "column_is_admissible",
     "decompose_product_bruteforce",
@@ -82,7 +79,6 @@ __all__ = [
     "general_product_decomposition",
     "generate_closure",
     "is_closed",
-    "letter_crystal",
     "m_k_set",
     "normalize_product_params",
     "predicted_components",

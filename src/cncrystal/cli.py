@@ -45,9 +45,8 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="cncrystal", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, rank=True, m=False, k=False, pq=False, formats=("text", "json")):
-        if rank:
-            p.add_argument("--rank", type=int, required=True, help="rank n >= 2")
+    def common(p, *, m=False, k=False, pq=False, formats=("text", "json")):
+        p.add_argument("--rank", type=int, required=True, help="rank n >= 2")
         if k:
             p.add_argument("--k", type=int, required=True, help="length index k")
         if pq:

@@ -36,9 +36,6 @@ class CrystalGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def edge_labels(self) -> tuple[int, ...]:
-        return tuple(i for _, i, _ in self.edges)
-
     def __repr__(self) -> str:
         return f"<CrystalGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
 
@@ -138,9 +135,6 @@ class Decomposition:
         return [(c.weight.coeffs, c.size) for c in self.components] == [
             (c.weight.coeffs, c.size) for c in other.components
         ]
-
-    def __hash__(self) -> int:
-        return hash(tuple((c.weight.coeffs, c.size) for c in self.components))
 
     def __repr__(self) -> str:
         inner = " + ".join(f"B({c.weight})x{c.size}" for c in self.components)

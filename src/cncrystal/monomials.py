@@ -147,11 +147,6 @@ class Monomial:
         _check_shift(a, "a")
         return Monomial._trusted(self.rank, tuple((i, m + a, e) for i, m, e in self._key))
 
-    def without_row(self, i: int) -> "Monomial":
-        """Delete all Y_i exponents (projection onto the rank-lowered subalgebra)."""
-        check_index(self.rank, i)
-        return Monomial._trusted(self.rank, tuple(t for t in self._key if t[0] != i))
-
     # -- crystal structure ---------------------------------------------------
 
     def weight(self) -> Weight:

@@ -264,8 +264,8 @@ def general_product_decomposition(
     with the length-q set at base l, keeping the original shifts (witnesses
     come out untranslated); also returns the normalized spec."""
     spec = normalize_product_params(n, p, m, q, l)
-    left = set(m_k_set(n, p, m))
-    right = set(m_k_set(n, q, l))
+    left = m_k_set(n, p, m)
+    right = m_k_set(n, q, l)
     return _decompose_product_set(_products(n, p, q, left, right), spec), spec
 
 

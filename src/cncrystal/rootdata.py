@@ -106,13 +106,6 @@ def cartan_entry(n: int, i: int, j: int) -> int:
     return 0
 
 
-def cartan_matrix(n: int) -> tuple[tuple[int, ...], ...]:
-    check_rank(n)
-    return tuple(
-        tuple(cartan_entry(n, i, j) for j in range(1, n + 1)) for i in range(1, n + 1)
-    )
-
-
 class Weight:
     """Integer weight sum(coeffs[i-1] * L_i), stored in fundamental-weight coordinates."""
 
@@ -190,13 +183,6 @@ class Weight:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "Weight") -> bool:
-        self._check_same_rank(other)
-        return self.coeffs < other.coeffs
-
-    def to_json(self) -> dict:
-        return {"lambda": list(self.coeffs)}
 
     def __str__(self) -> str:
         parts = []

@@ -130,9 +130,6 @@ class Column:
         n = self.rank
         return tuple(_letter_position(n, v) for v in self.letters)
 
-    def to_json(self) -> list[int]:
-        return list(self.letters)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Column)
@@ -142,9 +139,6 @@ class Column:
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __lt__(self, other: "Column") -> bool:
-        return self.sort_key() < other.sort_key()
 
     def __str__(self) -> str:
         return "[" + ",".join(str(v) if v > 0 else f"{-v}̄" for v in self.letters) + "]"
@@ -187,12 +181,6 @@ def column_crystal(n: int, length: int) -> tuple[Column, ...]:
         if column_is_admissible(column)
     ]
     return tuple(sorted(out, key=Column.sort_key))
-
-
-def letter_crystal(n: int) -> tuple[Column, ...]:
-    """The 2n one-box columns: the crystal of the vector representation, B(L_1)."""
-    check_rank(n)
-    return tuple(Column(n, (v,)) for v in letter_alphabet(n))
 
 
 def tensor_highest_weights(

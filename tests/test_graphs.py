@@ -19,7 +19,7 @@ from tensor_reference import TensorPair
 def test_closure_rank2_path():
     g = generate_closure([Monomial.generator(2, 1, 1)])
     assert len(g) == 4
-    assert g.edge_labels() == (1, 2, 1)
+    assert [i for _, i, _ in g.edges] == [1, 2, 1]
     # path shape: every vertex has at most one outgoing and one incoming edge
     outs = [src for src, _, _ in g.edges]
     ins = [dst for _, _, dst in g.edges]

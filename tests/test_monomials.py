@@ -247,22 +247,6 @@ def test_m_k_set_range_errors():
         m_k_set(2, 1.0, 1)
 
 
-# -- reductions ----------------------------------------------------------------------
-
-
-def test_row_deletion():
-    assert Y(3, (1, 2, -1), (2, 1, 1)).without_row(1) == Y(3, (2, 1, 1))
-    assert Y(3, (2, 5, 1)).without_row(2) == Monomial.one(3)
-    untouched = Y(3, (2, 1, 1), (3, 4, 1))
-    assert untouched.without_row(1) == untouched
-
-
-def test_row_deletion_is_multiplicative():
-    a = Y(3, (1, 1, 1), (2, 2, -1))
-    b = Y(3, (1, 1, -1), (3, 0, 2))
-    assert (a * b).without_row(1) == a.without_row(1) * b.without_row(1)
-
-
 # -- canonical forms ------------------------------------------------------------------
 
 
@@ -375,8 +359,6 @@ def test_operations_match_a_counter_reference_on_random_monomials():
 
         shift = rng.randint(-4, 4)
         assert_matches(a.shifted(shift), {(i, m + shift): e for (i, m), e in ca.items()})
-        row = rng.randint(1, n)
-        assert_matches(a.without_row(row), {k: e for k, e in ca.items() if k[0] != row})
 
         shifts = [m for (_, m) in ca] or [0]
         for i in range(1, n + 1):

@@ -100,16 +100,6 @@ def test_shift_equivariance(m, a):
                 assert shifted_image == image.shifted(a)
 
 
-@given(monomials(), st.integers(1, 4))
-def test_row_deletion_keeps_other_rows_highest(m, i):
-    if i > m.rank:
-        i = m.rank
-    others = [j for j in range(1, m.rank + 1) if j != i]
-    if all(m.epsilon(j) == 0 for j in others):
-        reduced = m.without_row(i)
-        assert all(reduced.epsilon(j) == 0 for j in others)
-
-
 # -- exhaustive sweeps over the small fundamental crystals ----------------------------
 
 
