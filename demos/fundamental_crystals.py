@@ -3,7 +3,7 @@
 Run:  python3 demos/fundamental_crystals.py
 """
 
-from cncrystal import Monomial, XLetter, export, generate_closure, m_k_set, x_monomial
+from cncrystal import Monomial, XLetter, cli, generate_closure, m_k_set, x_monomial
 
 # The smallest interesting crystal: rank 2, highest weight L1.  Starting from
 # the single variable Y1(1), the lowering operators trace out a 4-vertex path.
@@ -33,4 +33,5 @@ for k in range(1, 11):
 print()
 
 print("== DOT export of the rank-2 length-2 crystal ==")
-print(export(generate_closure([Monomial.generator(2, 2, 1)]), "dot"))
+cli.main(["graph", "--rank", "2", "--k", "2", "--format", "dot"])
+print()

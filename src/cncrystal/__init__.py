@@ -13,7 +13,6 @@ from .graphs import (
     CrystalInvariantError,
     Decomposition,
     decompose_set,
-    export,
     generate_closure,
     is_closed,
 )
@@ -27,7 +26,6 @@ from .monomials import (
 )
 from .products import (
     ProductSpec,
-    VerificationReport,
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
@@ -64,7 +62,6 @@ __all__ = [
     "Monomial",
     "ProductSpec",
     "StringStats",
-    "VerificationReport",
     "VertexBudgetExceeded",
     "Weight",
     "XLetter",
@@ -74,7 +71,6 @@ __all__ = [
     "decompose_product_bruteforce",
     "decompose_set",
     "decomposition_pairs",
-    "export",
     "fundamental_crystal",
     "general_product_decomposition",
     "generate_closure",

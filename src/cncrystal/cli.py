@@ -15,18 +15,19 @@ import argparse
 import collections
 import json
 import sys
+import time
 
-from .graphs import CrystalInvariantError, export, generate_closure
+from .graphs import CrystalInvariantError, generate_closure
 from .monomials import Monomial, m_k_set
 from .products import (
     ProductSpec,
     decompose_product_bruteforce,
     decomposition_pairs,
-    decomposition_to_json,
     product_decomposition_closed_form,
     tensor_decomposition_closed_form,
     verify_range,
     weight_of_pair,
+    weight_to_pair,
 )
 from .rootdata import VertexBudgetExceeded, check_index, check_positive, check_rank
 from .tableaux import tensor_highest_weights
@@ -78,6 +79,10 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
 def _emit(document: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(document)
@@ -89,13 +94,23 @@ def _emit(document: str, output: str | None) -> None:
         raise UsageError(f"--output {output}: {exc.strerror}") from None
 
 
-def _cmd_graph(args) -> tuple[int, str]:
+# Each command returns its exit status and its document's lines; main ends every line with "\n".
+def _cmd_graph(args) -> tuple[int, list[str]]:
     n = check_rank(args.rank, "--rank")
     graph = generate_closure([Monomial.generator(n, check_index(n, args.k, "--k"), args.m)])
-    return 0, export(graph, args.format)
+    if args.format == "json":
+        return 0, [_json({"vertices": [str(v) for v in graph.vertices],
+                          "edges": [list(edge) for edge in graph.edges]})]
+    # a label is Monomial.text(), which needs no DOT escaping
+    return 0, [
+        "digraph crystal {",
+        *(f'  n{k} [label="{v}"];' for k, v in enumerate(graph.vertices)),
+        *(f'  n{src} -> n{dst} [label="{i}"];' for src, i, dst in graph.edges),
+        "}",
+    ]
 
 
-def _cmd_elements(args) -> tuple[int, str]:
+def _cmd_elements(args) -> tuple[int, list[str]]:
     n = check_rank(args.rank, "--rank")
     k, m = check_index(2 * n, args.k, "--k"), args.m
     elements = m_k_set(n, k, m)
@@ -107,13 +122,11 @@ def _cmd_elements(args) -> tuple[int, str]:
             "count": len(elements),
             "elements": [mon.to_json() for mon in elements],
         }
-        return 0, json.dumps(doc, separators=(",", ":")) + "\n"
-    lines = [f"n={n} k={k} m={m} count={len(elements)}"]
-    lines.extend(mon.text() for mon in elements)
-    return 0, "\n".join(lines) + "\n"
+        return 0, [_json(doc)]
+    return 0, [f"n={n} k={k} m={m} count={len(elements)}", *(mon.text() for mon in elements)]
 
 
-def _cmd_decompose_tensor(args) -> tuple[int, str]:
+def _cmd_decompose_tensor(args) -> tuple[int, list[str]]:
     n = check_rank(args.rank, "--rank")
     p, q = check_index(n, args.p, "--p"), check_index(n, args.q, "--q")
     pairs = tensor_decomposition_closed_form(n, p, q)
@@ -133,16 +146,15 @@ def _cmd_decompose_tensor(args) -> tuple[int, str]:
             ],
             "oracle_agreement": agreement,
         }
-        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        lines = [_json(doc)]
     else:
         lines = [f"n={n} p={p} q={q} components={len(pairs)}"]
         lines.extend(f"({a},{c}) {weight_of_pair(n, a, c)}" for a, c in pairs)
         lines.append(f"oracle-agreement={'true' if agreement else 'false'}")
-        text = "\n".join(lines) + "\n"
-    return (0 if agreement else 2), text
+    return (0 if agreement else 2), lines
 
 
-def _cmd_decompose_product(args) -> tuple[int, str]:
+def _cmd_decompose_product(args) -> tuple[int, list[str]]:
     n = check_rank(args.rank, "--rank")
     p, q = check_index(n, args.p, "--p"), check_index(n, args.q, "--q")
     m = check_positive(args.m, "--m")
@@ -151,31 +163,42 @@ def _cmd_decompose_product(args) -> tuple[int, str]:
     predicted = product_decomposition_closed_form(spec)
     agreement = decomposition_pairs(decomposition) == predicted
     if args.format == "json":
-        doc = decomposition_to_json(spec, decomposition)
-        doc["closed_form"] = [list(x) for x in predicted]
-        doc["agreement"] = agreement
-        text = json.dumps(doc, separators=(",", ":")) + "\n"
+        components = []
+        for comp in decomposition:
+            a, c = weight_to_pair(comp.weight)
+            components.append({"a": a, "c": c, "lambda": list(comp.weight.coeffs),
+                               "size": comp.size, "hw": comp.witness.text()})
+        doc = {"n": n, "p": p, "q": q, "m": m, "components": components,
+               "closed_form": [list(x) for x in predicted], "agreement": agreement}
+        lines = [_json(doc)]
     else:
         lines = [
             f"n={n} p={p} q={q} m={m}",
             f"bruteforce components={len(decomposition)} total={decomposition.total_size}",
+            *(f"{comp.weight} size={comp.size} hw={comp.witness}" for comp in decomposition),
+            "closed-form " + " ".join(f"({a},{c})" for a, c in predicted),
+            f"agreement={'true' if agreement else 'false'}",
         ]
-        for comp in decomposition:
-            lines.append(f"{comp.weight} size={comp.size} hw={comp.witness}")
-        lines.append(
-            "closed-form " + " ".join(f"({a},{c})" for a, c in predicted)
-        )
-        lines.append(f"agreement={'true' if agreement else 'false'}")
-        text = "\n".join(lines) + "\n"
-    return (0 if agreement else 2), text
+    return (0 if agreement else 2), lines
 
 
-def _cmd_verify(args) -> tuple[int, str]:
+def _cmd_verify(args) -> tuple[int, list[str]]:
     n_max, m_max = check_rank(args.n_max, "--n-max"), check_positive(args.m_max, "--m-max")
-    report = verify_range(n_max, m_max)
+    start = time.perf_counter()
+    cells = verify_range(n_max, m_max)
     # timing is diagnostics, not part of the deterministic document
-    print(f"verify elapsed {report.elapsed_seconds:.2f}s", file=sys.stderr)
-    return (0 if not report.mismatches else 2), report.to_jsonl()
+    print(f"verify elapsed {time.perf_counter() - start:.2f}s", file=sys.stderr)
+    # "bruteforce" holds the character path's pairs: the key predates that path
+    lines = [
+        _json({"n": spec.n, "p": spec.p, "q": spec.q, "m": spec.m,
+               "bruteforce": [list(x) for x in found],
+               "predicted": [list(x) for x in predicted], "match": found == predicted})
+        for spec, found, predicted in cells
+    ]
+    mismatches = sum(found != predicted for _, found, predicted in cells)
+    lines.append(_json({"summary": True, "n_max": n_max, "m_max": m_max,
+                        "cells": len(cells), "mismatches": mismatches}))
+    return (0 if not mismatches else 2), lines
 
 
 _COMMANDS = {
@@ -190,8 +213,8 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        status, document = _COMMANDS[args.command](args)
-        _emit(document, args.output)
+        status, lines = _COMMANDS[args.command](args)
+        _emit("\n".join(lines) + "\n", args.output)
         return status
     except (UsageError, ValueError, VertexBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,13 +6,12 @@ plus hashing and equality.  Monomials and tableau columns both qualify, so
 closure and decomposition are written once.
 
 Closure is breadth-first from seeds sorted by ``sort_key``, and components
-are ordered by their witnesses' ``sort_key``, so vertex order, component
-order and every exported document are deterministic.
+are ordered by their witnesses' ``sort_key``, so vertex and component order
+are deterministic, and so is every document cncrystal.cli writes from them.
 """
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -186,30 +185,3 @@ def decompose_set(elements: Iterable) -> Decomposition:
         comps.append(Component(weight, len(walk), highest[0]))
     comps.sort(key=lambda c: c.witness.sort_key())
     return Decomposition(comps)
-
-
-def to_dot(graph: CrystalGraph) -> str:
-    lines = ["digraph crystal {"]
-    for k, v in enumerate(graph.vertices):
-        label = str(v).replace("\\", "\\\\").replace('"', '\\"')
-        lines.append(f'  n{k} [label="{label}"];')
-    for src, i, dst in graph.edges:
-        lines.append(f'  n{src} -> n{dst} [label="{i}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def to_json(graph: CrystalGraph) -> str:
-    doc = {
-        "vertices": [str(v) for v in graph.vertices],
-        "edges": [[src, i, dst] for src, i, dst in graph.edges],
-    }
-    return json.dumps(doc, separators=(",", ":")) + "\n"
-
-
-def export(graph: CrystalGraph, fmt: str) -> str:
-    if fmt == "dot":
-        return to_dot(graph)
-    if fmt == "json":
-        return to_json(graph)
-    raise ValueError(f"unknown export format {fmt!r}")

@@ -13,7 +13,9 @@ three ways:
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
 
 decompose-product compares brute force with the closed form; verify_range
-compares the character path with it.
+pairs the character path with it on every cell of a range.  Results are
+plain data (Decomposition, pair tuples, ProductSpec); cncrystal.cli writes
+every document.
 
 The closed form is one table, predicted_components: every tensor constituent
 (a, c) with its threshold, the least m at which it appears,
@@ -28,8 +30,6 @@ threshold is at most m.
 
 from __future__ import annotations
 
-import json
-import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -117,8 +117,8 @@ def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
     for component in decomposition:
         if component.witness / left_hw not in right:
             raise CrystalInvariantError(
-                f"highest-weight product {component.witness} has no factorization "
-                f"with left factor {left_hw}"
+                f"decomposing {spec}: highest-weight product {component.witness} "
+                f"has no factorization with left factor {left_hw}"
             )
     return decomposition
 
@@ -272,66 +272,12 @@ def general_product_decomposition(
 # -- exhaustive verification ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellResult:
-    """One verify cell.  bruteforce, named as the document's key, holds the
-    pairs of decompose_product_character."""
-
-    n: int
-    p: int
-    q: int
-    m: int
-    bruteforce: tuple[tuple[int, int], ...]
-    predicted: tuple[tuple[int, int], ...]
-
-    @property
-    def match(self) -> bool:
-        return self.bruteforce == self.predicted
-
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "p": self.p,
-            "q": self.q,
-            "m": self.m,
-            "bruteforce": [list(x) for x in self.bruteforce],
-            "predicted": [list(x) for x in self.predicted],
-            "match": self.match,
-        }
-
-
-@dataclass(frozen=True)
-class VerificationReport:
-    n_max: int
-    m_max: int
-    cells: tuple[CellResult, ...]
-    elapsed_seconds: float
-
-    @property
-    def mismatches(self) -> tuple[CellResult, ...]:
-        return tuple(cell for cell in self.cells if not cell.match)
-
-    def summary(self) -> dict:
-        return {
-            "summary": True,
-            "n_max": self.n_max,
-            "m_max": self.m_max,
-            "cells": len(self.cells),
-            "mismatches": len(self.mismatches),
-        }
-
-    def to_jsonl(self) -> str:
-        lines = [json.dumps(cell.to_json(), separators=(",", ":")) for cell in self.cells]
-        lines.append(json.dumps(self.summary(), separators=(",", ":")))
-        return "\n".join(lines) + "\n"
-
-
-def verify_range(n_max: int, m_max: int) -> VerificationReport:
-    """Compare the character decomposition against the closed form on every
-    cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max."""
+def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
+    """Every cell 2 <= n <= n_max, 1 <= p, q <= n, 1 <= m <= m_max, as
+    (spec, found, predicted): the pairs of decompose_product_character and
+    of the closed form, which agree when the theorem holds there."""
     check_rank(n_max)
     check_positive(m_max, "m_max")
-    start = time.perf_counter()
     cells = []
     for n in range(2, n_max + 1):
         for p in range(1, n + 1):
@@ -340,29 +286,5 @@ def verify_range(n_max: int, m_max: int) -> VerificationReport:
                     spec = ProductSpec(n, p, q, m)
                     character = decompose_product_character(spec)
                     found = tuple(sorted(weight_to_pair(Weight(w)) for w in character.elements()))
-                    predicted = product_decomposition_closed_form(spec)
-                    cells.append(CellResult(n, p, q, m, found, predicted))
-    elapsed = time.perf_counter() - start
-    return VerificationReport(n_max, m_max, tuple(cells), elapsed)
-
-
-def decomposition_to_json(spec: ProductSpec, decomposition: Decomposition) -> dict:
-    components = []
-    for comp in decomposition:
-        a, c = weight_to_pair(comp.weight)
-        components.append(
-            {
-                "a": a,
-                "c": c,
-                "lambda": list(comp.weight.coeffs),
-                "size": comp.size,
-                "hw": comp.witness.text(),
-            }
-        )
-    return {
-        "n": spec.n,
-        "p": spec.p,
-        "q": spec.q,
-        "m": spec.m,
-        "components": components,
-    }
+                    cells.append((spec, found, product_decomposition_closed_form(spec)))
+    return tuple(cells)

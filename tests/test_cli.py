@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -132,6 +133,7 @@ def test_verify_small_range(capsys):
         (["decompose-tensor", "--rank", "2", "--p", "1", "--q", "0"], "--q"),
         (["elements", "--rank", "1", "--k", "1"], "--rank"),
         (["verify", "--n-max", "2", "--m-max", "1", "--format", "json"], "--format"),
+        (["graph", "--rank", "2", "--k", "1", "--format", "yaml"], "--format"),
     ],
 )
 def test_usage_errors_name_the_parameter(capsys, argv, needle):
@@ -282,6 +284,40 @@ def test_documents_are_byte_deterministic(capsys):
         second = run_cli(capsys, *argv)
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+GOLDEN_DOCUMENTS = [
+    ("graph --rank 2 --k 1 --format dot", 0,
+     "88b6cb09ae64484a61ccffefe91deda5f8fc564dc575c5e2e7baeabc50a9167a"),
+    ("graph --rank 3 --k 2 --format json", 0,
+     "a9f9d97521e56aa59fb1738dca464e8af7e7a9b908a4327c879cffd09435ad05"),
+    ("elements --rank 2 --k 2", 0,
+     "38e0767c92c17509a5c87e811d5115089074d3aeda76410c788dae07931acbf6"),
+    ("elements --rank 3 --k 2 --format json", 0,
+     "8e0e635fed428c128e1909f6e195ea2c20f83ce1be386e1114db6576bf5b9d88"),
+    ("decompose-tensor --rank 3 --p 2 --q 3", 0,
+     "4b82939f11abbfcae0c5131768e875dfccf4e1ac3c964b46e4b201b0b7dcb34f"),
+    ("decompose-tensor --rank 3 --p 2 --q 3 --format json", 0,
+     "e2d4788712ee65ba8246975429b63ddf2365c45bdd9cd2e7363d11dad1ec4068"),
+    ("decompose-product --rank 3 --p 2 --q 2 --m 2", 0,
+     "b3df516c8e97590493fe2e2755d1e2627376038b95b86bde397dfd5109ce23b0"),
+    ("decompose-product --rank 3 --p 2 --q 2 --m 2 --format json", 0,
+     "0b7cbc3cdd4c0fec9e52e82b64fab5e551437aa47b86dffc0bff49fdd2893c9d"),
+    ("verify --n-max 3 --m-max 3", 0,
+     "6ce74d8879fa1e9452fc3dd7f3c0b4f0e3ef6389ecd634b2d76d05e27d2256ea"),
+]
+
+
+def test_golden_documents(capsys):
+    # one small document per command and format, pinned byte for byte: a
+    # change to how any document is written must change this table on purpose
+    changed = []
+    for command, status, digest in GOLDEN_DOCUMENTS:
+        code, out, _ = run_cli(capsys, *command.split())
+        got = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        if (code, got) != (status, digest):
+            changed.append((command, code, got))
+    assert changed == []
 
 
 def test_console_entry_point_runs_in_subprocess():

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
+from cncrystal.cli import main
 from cncrystal.graphs import (
     CrystalInvariantError,
     decompose_set,
-    export,
     generate_closure,
     is_closed,
 )
@@ -289,47 +289,34 @@ def test_tensor_statistics_formulas():
                 assert pair.weight() == a.weight() + b.weight()
 
 
-# -- export -------------------------------------------------------------------------
+# -- graph documents (written by cncrystal.cli) ----------------------------------------
 
 
-def test_export_single_vertex_dot():
-    g = generate_closure([Monomial.one(2)])
-    doc = export(g, "dot")
-    assert doc == 'digraph crystal {\n  n0 [label="1"];\n}\n'
+def graph_document(capsys, n, k, fmt):
+    code = main(["graph", "--rank", str(n), "--k", str(k), "--format", fmt])
+    assert code == 0
+    return capsys.readouterr().out
 
 
-def test_export_path_dot():
-    g = generate_closure([Monomial.generator(2, 1, 1)])
-    doc = export(g, "dot")
+def test_export_path_dot(capsys):
+    doc = graph_document(capsys, 2, 1, "dot")
     assert doc.count("[label=") == 4 + 3
     assert '[label="1"]' in doc and '[label="2"]' in doc
     assert doc.endswith("}\n")
 
 
-def test_export_json_roundtrip():
+def test_export_json_roundtrip(capsys):
     g = generate_closure([Monomial.generator(2, 2, 1)])
-    doc = json.loads(export(g, "json"))
+    doc = json.loads(graph_document(capsys, 2, 2, "json"))
     assert len(doc["vertices"]) == len(g)
-    assert len(doc["edges"]) == len(g.edges)
+    assert doc["edges"] == [list(edge) for edge in g.edges]
     assert doc["vertices"][0] == "Y2(1)"
 
 
-def test_export_deterministic():
-    runs = {
-        export(generate_closure([Monomial.generator(3, 2, 1)]), fmt)
-        for fmt in ("dot",)
-        for _ in range(3)
-    }
-    assert len(runs) == 1
-    assert export(generate_closure([Monomial.generator(3, 2, 1)]), "json") == export(
-        generate_closure([Monomial.generator(3, 2, 1)]), "json"
-    )
-
-
-def test_export_unknown_format():
-    g = generate_closure([Monomial.one(2)])
-    with pytest.raises(ValueError):
-        export(g, "yaml")
+def test_export_deterministic(capsys):
+    for fmt in ("dot", "json"):
+        runs = {graph_document(capsys, 3, 2, fmt) for _ in range(3)}
+        assert len(runs) == 1
 
 
 def test_edge_count_matches_phi_support():

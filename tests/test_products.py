@@ -5,6 +5,7 @@ import pytest
 from highest_weight_reference import decompose_product_highest_weights
 
 from cncrystal import products
+from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError, is_closed
 from cncrystal.monomials import Monomial
 from cncrystal.products import (
@@ -13,7 +14,6 @@ from cncrystal.products import (
     decompose_product_bruteforce,
     decompose_product_character,
     decomposition_pairs,
-    decomposition_to_json,
     fundamental_crystal,
     general_product_decomposition,
     normalize_product_params,
@@ -99,6 +99,22 @@ def test_a_broken_decomposition_names_the_spec_and_the_phase(monkeypatch):
     )
 
 
+def test_a_missing_factorization_names_the_spec(monkeypatch):
+    spec = ProductSpec(2, 1, 1, 2)
+    for k, m in ((1, 2), (1, 1)):
+        fundamental_crystal(2, k, m)  # cached now, so the shifted generator builds neither
+    generator = Monomial.generator
+    # the check divides each witness by the left generator Y1(2); dividing by Y1(3) instead
+    # lands outside the right-hand crystal
+    monkeypatch.setattr(Monomial, "generator", lambda n, k, m: generator(n, k, m + 1))
+    with pytest.raises(CrystalInvariantError) as info:
+        decompose_product_bruteforce(spec)
+    assert str(info.value) == (
+        "decomposing ProductSpec(n=2, p=1, q=1, m=2): highest-weight product Y2(1) "
+        "has no factorization with left factor Y1(3)"
+    )
+
+
 def test_highest_weight_path_equals_brute_force():
     # every cell with n <= 4 and m <= 2n: same components, same witnesses, same
     # order; and the character path gives the same weight multiset
@@ -152,9 +168,9 @@ def test_verify_forms_no_product_set_and_applies_no_operator(monkeypatch):
     monkeypatch.setattr(products, "product_set", forbidden)
     for name in ("e", "f", "string_stats"):
         monkeypatch.setattr(Monomial, name, forbidden)
-    report = verify_range(3, 2)
-    assert len(report.cells) == (4 + 9) * 2
-    assert report.mismatches == ()
+    cells = verify_range(3, 2)
+    assert len(cells) == (4 + 9) * 2
+    assert [spec for spec, found, predicted in cells if found != predicted] == []
 
 
 def test_a_missed_highest_weight_breaks_conservation(monkeypatch):
@@ -364,22 +380,28 @@ def test_general_product_matches_its_normalization():
 # -- exhaustive verification -----------------------------------------------------------
 
 
-def test_verify_range_rank2():
-    report = verify_range(2, 6)
-    assert len(report.cells) == 2 * 2 * 6
-    assert report.mismatches == ()
-    lines = report.to_jsonl().splitlines()
-    assert len(lines) == len(report.cells) + 1
+def test_verify_range_rank2(capsys):
+    cells = verify_range(2, 6)
+    assert len(cells) == 2 * 2 * 6
+    assert [spec for spec, found, predicted in cells if found != predicted] == []
+    spec, found, predicted = cells[0]
+    assert found == predicted == product_decomposition_closed_form(spec)
+    assert main(["verify", "--n-max", "2", "--m-max", "6"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cells) + 1
     summary = json.loads(lines[-1])
     assert summary["mismatches"] == 0
     cell = json.loads(lines[0])
     assert cell["match"] is True
     assert {"n", "p", "q", "m", "bruteforce", "predicted"} <= set(cell)
+    assert (cell["n"], cell["p"], cell["q"], cell["m"]) == (spec.n, spec.p, spec.q, spec.m)
 
 
-def test_decomposition_json_shape():
-    spec = ProductSpec(2, 1, 1, 2)
-    doc = decomposition_to_json(spec, decompose_product_bruteforce(spec))
+def test_decomposition_json_shape(capsys):
+    code = main(["decompose-product", "--rank", "2", "--p", "1", "--q", "1", "--m", "2",
+                 "--format", "json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
     assert doc["n"] == 2 and doc["m"] == 2
     assert [
         (c["a"], c["c"], c["size"]) for c in doc["components"]
