@@ -11,7 +11,6 @@ from .graphs import (
     Component,
     CrystalGraph,
     CrystalInvariantError,
-    Decomposition,
     decompose_set,
     generate_closure,
     is_closed,
@@ -29,8 +28,6 @@ from .products import (
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
-    general_product_decomposition,
-    normalize_product_params,
     predicted_components,
     product_decomposition_closed_form,
     product_set,
@@ -58,7 +55,6 @@ __all__ = [
     "Component",
     "CrystalGraph",
     "CrystalInvariantError",
-    "Decomposition",
     "Monomial",
     "ProductSpec",
     "StringStats",
@@ -72,11 +68,9 @@ __all__ = [
     "decompose_set",
     "decomposition_pairs",
     "fundamental_crystal",
-    "general_product_decomposition",
     "generate_closure",
     "is_closed",
     "m_k_set",
-    "normalize_product_params",
     "predicted_components",
     "product_decomposition_closed_form",
     "product_set",

@@ -29,7 +29,8 @@ from .products import (
     weight_of_pair,
     weight_to_pair,
 )
-from .rootdata import VertexBudgetExceeded, check_index, check_positive, check_rank
+from .rootdata import VertexBudgetExceeded, check_budget, check_index, check_positive, check_rank
+from .rootdata import weyl_dimension
 from .tableaux import tensor_highest_weights
 
 
@@ -97,7 +98,10 @@ def _emit(document: str, output: str | None) -> None:
 # Each command returns its exit status and its document's lines; main ends every line with "\n".
 def _cmd_graph(args) -> tuple[int, list[str]]:
     n = check_rank(args.rank, "--rank")
-    graph = generate_closure([Monomial.generator(n, check_index(n, args.k, "--k"), args.m)])
+    seed = Monomial.generator(n, check_index(n, args.k, "--k"), args.m)
+    # the closure of Y_k(m) is B(L_k): its Weyl dimension refuses an over-budget one unwalked
+    check_budget(weyl_dimension(seed.weight()), f"closure of {seed} at rank {n}")
+    graph = generate_closure([seed])
     if args.format == "json":
         return 0, [_json({"vertices": [str(v) for v in graph.vertices],
                           "edges": [list(edge) for edge in graph.edges]})]
@@ -174,7 +178,7 @@ def _cmd_decompose_product(args) -> tuple[int, list[str]]:
     else:
         lines = [
             f"n={n} p={p} q={q} m={m}",
-            f"bruteforce components={len(decomposition)} total={decomposition.total_size}",
+            f"bruteforce components={len(decomposition)} total={sum(c.size for c in decomposition)}",
             *(f"{comp.weight} size={comp.size} hw={comp.witness}" for comp in decomposition),
             "closed-form " + " ".join(f"({a},{c})" for a, c in predicted),
             f"agreement={'true' if agreement else 'false'}",

@@ -5,14 +5,14 @@ Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
 plus hashing and equality.  Monomials and tableau columns both qualify, so
 closure and decomposition are written once.
 
-Closure is breadth-first from seeds sorted by ``sort_key``, and components
-are ordered by their witnesses' ``sort_key``, so vertex and component order
-are deterministic, and so is every document cncrystal.cli writes from them.
+Closure is breadth-first from seeds sorted by ``sort_key``; components are
+(weight, size, witness) records in a fixed order.  So vertex and component
+order are deterministic, and so is every document cncrystal.cli writes.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .rootdata import VertexBudgetExceeded, vertex_budget
@@ -91,56 +91,11 @@ def is_closed(elements: Iterable) -> bool:
     return True
 
 
-class Component:
-    """One irreducible constituent: dominant weight, size, highest-weight witness."""
-
-    __slots__ = ("weight", "size", "witness")
-
-    def __init__(self, weight, size: int, witness):
-        self.weight = weight
-        self.size = size
-        self.witness = witness
-
-    def __repr__(self) -> str:
-        return f"Component({self.weight}, size={self.size}, hw={self.witness})"
+# One irreducible constituent: dominant weight, size, highest-weight witness.
+Component = namedtuple("Component", "weight size witness")
 
 
-class Decomposition:
-    """Multiset of irreducible components; comparisons ignore the witnesses."""
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Iterable[Component]):
-        self.components = tuple(
-            sorted(components, key=lambda c: (c.weight.coeffs, c.size))
-        )
-
-    @property
-    def total_size(self) -> int:
-        return sum(c.size for c in self.components)
-
-    def weight_multiset(self) -> Counter:
-        return Counter(c.weight.coeffs for c in self.components)
-
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Decomposition):
-            return NotImplemented
-        return [(c.weight.coeffs, c.size) for c in self.components] == [
-            (c.weight.coeffs, c.size) for c in other.components
-        ]
-
-    def __repr__(self) -> str:
-        inner = " + ".join(f"B({c.weight})x{c.size}" for c in self.components)
-        return f"<Decomposition {inner or '(empty)'}>"
-
-
-def decompose_set(elements: Iterable) -> Decomposition:
+def decompose_set(elements: Iterable) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
     One breadth-first walk per component follows every e(i) and f(i) image,
@@ -148,7 +103,7 @@ def decompose_set(elements: Iterable) -> Decomposition:
     the operator, row and element.  CrystalInvariantError: the walk enters an
     earlier component, a component holds other than one highest-weight
     element (all e(i) None), or that element's weight is not dominant.  A set
-    argument is walked as is; witnesses are ordered by sort_key.
+    is walked as is; components are sorted by (weight.coeffs, size, sort_key).
     """
     elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
     owner: dict = {}
@@ -183,5 +138,4 @@ def decompose_set(elements: Iterable) -> Decomposition:
         if not weight.is_dominant():
             raise CrystalInvariantError(f"highest weight {weight} is not dominant")
         comps.append(Component(weight, len(walk), highest[0]))
-    comps.sort(key=lambda c: c.witness.sort_key())
-    return Decomposition(comps)
+    return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

@@ -14,8 +14,8 @@ three ways:
 
 decompose-product compares brute force with the closed form; verify_range
 pairs the character path with it on every cell of a range.  Results are
-plain data (Decomposition, pair tuples, ProductSpec); cncrystal.cli writes
-every document.
+plain data (tuples of Component records, pair tuples, ProductSpec);
+cncrystal.cli writes every document.
 
 The closed form is one table, predicted_components: every tensor constituent
 (a, c) with its threshold, the least m at which it appears,
@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .graphs import CrystalInvariantError, Decomposition, decompose_set, generate_closure
+from .graphs import Component, CrystalInvariantError, decompose_set, generate_closure
 from .monomials import Monomial, m_k_set
 from .rootdata import Weight, check_budget, check_index, check_positive, check_rank
 from .rootdata import weight_multiplicity, weyl_dimension
@@ -83,53 +83,46 @@ def product_set(spec: ProductSpec) -> set[Monomial]:
     decompose_set's walk finds every operator image inside it."""
     left = fundamental_crystal(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q, 1)
-    return _products(spec.n, spec.p, spec.q, left, right)
-
-
-def _products(n: int, p: int, q: int, left, right) -> set[Monomial]:
-    """Every entrywise product, refused up front when there are too many."""
-    size = f"lengths {p} and {q} at rank {n} form {len(left)}*{len(right)} products"
-    check_budget(len(left) * len(right), size)
+    check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
+                 f"form {len(left)}*{len(right)} products")
     return {a * b for a in left for b in right}
 
 
-def _decompose_product_set(products, spec: ProductSpec) -> Decomposition:
-    """decompose_set, naming the spec and the phase of a broken invariant; an
-    open product set is one, since the theory says each is operator-closed."""
-    try:
-        return decompose_set(products)
-    except ValueError as exc:
-        raise CrystalInvariantError(f"product set for {spec} is not operator-closed: {exc}") from exc
-    except CrystalInvariantError as exc:
-        raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
-
-
-def decompose_product_bruteforce(spec: ProductSpec) -> Decomposition:
-    """Decompose the product set by one walk over its components.
+def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
+    """Decompose the product set by one walk over its components, naming the
+    spec and the phase of a broken invariant; an open product set is one,
+    since the theory says each is operator-closed.
 
     Also checks the structural fact that every highest-weight product splits
     off the left factor Y_p(m): dividing a witness by it must land in the
     right-hand fundamental crystal.
     """
-    decomposition = _decompose_product_set(product_set(spec), spec)
+    products = product_set(spec)
+    try:
+        components = decompose_set(products)
+    except ValueError as exc:
+        raise CrystalInvariantError(f"product set for {spec} is not operator-closed: {exc}") from exc
+    except CrystalInvariantError as exc:
+        raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
     right = set(fundamental_crystal(spec.n, spec.q, 1))
-    for component in decomposition:
+    for component in components:
         if component.witness / left_hw not in right:
             raise CrystalInvariantError(
                 f"decomposing {spec}: highest-weight product {component.witness} "
                 f"has no factorization with left factor {left_hw}"
             )
-    return decomposition
+    return components
 
 
 def decompose_product_character(spec: ProductSpec) -> Counter:
     """The weight multiset of the decomposition, comparable with
-    Decomposition.weight_multiset().  The product set is closed, so it is a sum
-    of m_lambda B(lambda) whose W-invariant character is fixed by count(mu),
-    the number of products a*b of each dominant weight mu = wt(a) + wt(b)
-    (products of unequal weights differ).  In descending epsilon-lex order,
-    which refines dominance, m_mu = count(mu) - sum m_nu * mult_nu(mu)."""
+    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).
+    The product set is closed, so it is a sum of m_lambda B(lambda) whose
+    W-invariant character is fixed by count(mu), the number of products a*b
+    of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
+    differ).  In descending epsilon-lex order, which refines dominance,
+    m_mu = count(mu) - sum m_nu * mult_nu(mu)."""
     n, p, q = spec.n, spec.p, spec.q
     left, right = {}, {}
     for classes, k, shift in ((left, p, spec.m), (right, q, 1)):
@@ -225,48 +218,8 @@ def weight_to_pair(weight: Weight) -> tuple[int, int]:
     return (a, c)
 
 
-def decomposition_pairs(decomposition: Decomposition) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted(weight_to_pair(c.weight) for c in decomposition))
-
-
-# -- products with general tags and shifts --------------------------------------
-
-
-def normalize_product_params(
-    n: int, p: int, m: int, q: int, l: int = 1
-) -> ProductSpec:
-    """Reduce a product of length-p/q sets at base shifts m/l (lengths up to
-    2n) to an equivalent spec with right shift 1.
-
-    Lengths above n fold down to 2n - length with the base shift moved up by
-    length - n; a common translation then pins the right shift to 1, swapping
-    the factors when that would leave the left shift below 1.
-    """
-    check_rank(n)
-    check_index(2 * n, p, "p")
-    check_index(2 * n, q, "q")
-    if p > n:
-        p, m = 2 * n - p, m - n + p
-    if q > n:
-        q, l = 2 * n - q, l - n + q
-    if p == 0 or q == 0:
-        raise ValueError("length-2n sets are trivial; the product is the other factor")
-    m_norm = m - l + 1
-    if m_norm < 1:
-        p, q, m_norm = q, p, 2 - m_norm
-    return ProductSpec(n, p, q, m_norm)
-
-
-def general_product_decomposition(
-    n: int, p: int, m: int, q: int, l: int = 1
-) -> tuple[Decomposition, ProductSpec]:
-    """Brute-force decomposition of the product of the length-p set at base m
-    with the length-q set at base l, keeping the original shifts (witnesses
-    come out untranslated); also returns the normalized spec."""
-    spec = normalize_product_params(n, p, m, q, l)
-    left = m_k_set(n, p, m)
-    right = m_k_set(n, q, l)
-    return _decompose_product_set(_products(n, p, q, left, right), spec), spec
+def decomposition_pairs(components: tuple[Component, ...]) -> tuple[tuple[int, int], ...]:
+    return tuple(sorted(weight_to_pair(c.weight) for c in components))
 
 
 # -- exhaustive verification ----------------------------------------------------

@@ -3,13 +3,13 @@ as a witness for the character path: it scans the highest-weight products
 one by one, where the character path only counts products by weight.
 """
 
-from cncrystal.graphs import Component, CrystalInvariantError, Decomposition
+from cncrystal.graphs import Component, CrystalInvariantError
 from cncrystal.monomials import Monomial
 from cncrystal.products import ProductSpec, fundamental_crystal, product_set
 from cncrystal.rootdata import weyl_dimension
 
 
-def decompose_product_highest_weights(spec: ProductSpec) -> Decomposition:
+def decompose_product_highest_weights(spec: ProductSpec) -> tuple[Component, ...]:
     """The decomposition of decompose_product_bruteforce, witnesses included,
     without walking the product set.
 
@@ -40,7 +40,5 @@ def decompose_product_highest_weights(spec: ProductSpec) -> Decomposition:
         raise CrystalInvariantError(
             f"components of {spec} hold {found} elements, but its product set has {total}"
         )
-    # decompose_set's order; Decomposition then sorts by weight, so this
-    # decides the order only among components of one weight
-    comps.sort(key=lambda c: c.witness.sort_key())
-    return Decomposition(comps)
+    # decompose_set's order
+    return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

@@ -17,7 +17,6 @@ from cncrystal.products import (
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
-    general_product_decomposition,
     product_decomposition_closed_form,
     product_set,
     tensor_decomposition_closed_form,
@@ -102,7 +101,10 @@ def test_criterion_1_rank2_example_suite():
     for p, q, family, left_offset, regimes in c2_families():
         for m_values, keep in regimes:
             for m in m_values:
-                decomposition, spec = general_product_decomposition(2, p, m, q, 1)
+                left, right = m_k_set(2, p, m), m_k_set(2, q, 1)
+                decomposition = decompose_set({a * b for a in left for b in right})
+                # a length-3 set is the length-1 set one shift up
+                spec = ProductSpec(2, min(p, 4 - p), min(q, 4 - q), m + (p > 2) - (q > 2))
                 expected = family(m + left_offset)[:keep]
                 got = {c.weight.coeffs: c.witness for c in decomposition}
                 assert got == {w: mono for w, mono in expected}, (
@@ -317,7 +319,7 @@ def test_criterion_6_property_suites():
                     right = fundamental_crystal(n, q, m)
                     dec = decompose_set({a * b for a in left for b in right})
                     assert len(dec) == 1
-                    assert dec.components[0].weight == weight_of_pair(
+                    assert dec[0].weight == weight_of_pair(
                         n, min(p, q), max(p, q)
                     )
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -158,13 +159,34 @@ def test_budget_env_var(capsys, monkeypatch):
     )
     assert code == 1
     assert out == ""
-    assert err == "error: closure of Y3(1) at rank 5 exceeds the vertex budget 5\n"
+    assert err == "error: closure of Y3(1) at rank 5: 110 exceeds the vertex budget 5\n"
     for value in ("not-a-number", "0"):
         monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", value)
         code, out, err = run_cli(capsys, "graph", "--rank", "2", "--k", "1")
         assert code == 1
         assert out == ""
         assert err == f"error: CRYSTAL_VERTEX_BUDGET must be an integer >= 1, got {value!r}\n"
+
+
+def test_graph_is_refused_by_its_size_before_the_walk(capsys, monkeypatch):
+    # the closure of Y_k(m) is B(L_k), so dim B(L_k) is its exact size: at rank 30,
+    # C(60, 15) - C(60, 13), far over the default budget, refused without walking
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "graph", "--rank", "30", "--k", "15")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: closure of Y15(1) at rank 30: 48027225765120 exceeds the vertex budget 1000000\n"
+    )
+    # a closure of exactly the budget is walked: Y3(2) at rank 5 closes to 110 elements
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "110")
+    code, out, _ = run_cli(capsys, "graph", "--rank", "5", "--k", "3", "--m", "2", "--format", "json")
+    assert (code, len(json.loads(out)["vertices"])) == (0, 110)
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "109")
+    monkeypatch.setattr(cli, "generate_closure", lambda seeds: pytest.fail("the closure was walked"))
+    code, out, err = run_cli(capsys, "graph", "--rank", "5", "--k", "3", "--m", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: closure of Y3(2) at rank 5: 110 exceeds the vertex budget 109\n"
 
 
 def test_budget_refuses_a_product_before_forming_it(capsys, monkeypatch):

@@ -7,7 +7,7 @@ from highest_weight_reference import decompose_product_highest_weights
 from cncrystal import products
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError, is_closed
-from cncrystal.monomials import Monomial
+from cncrystal.monomials import Monomial, m_k_set
 from cncrystal.products import (
     ProductSpec,
     predicted_components,
@@ -15,8 +15,6 @@ from cncrystal.products import (
     decompose_product_character,
     decomposition_pairs,
     fundamental_crystal,
-    general_product_decomposition,
-    normalize_product_params,
     product_decomposition_closed_form,
     product_set,
     tensor_decomposition_closed_form,
@@ -62,7 +60,7 @@ def test_bruteforce_rank2_examples():
     assert decomposition_pairs(dec) == ((0, 2), (1, 1))
     dec = decompose_product_bruteforce(ProductSpec(2, 2, 2, 3))
     assert decomposition_pairs(dec) == ((0, 0), (1, 1), (2, 2))
-    assert dec.total_size == len(product_set(ProductSpec(2, 2, 2, 3)))
+    assert sum(c.size for c in dec) == len(product_set(ProductSpec(2, 2, 2, 3)))
 
 
 def test_bruteforce_left_factor_witnesses():
@@ -125,9 +123,9 @@ def test_highest_weight_path_equals_brute_force():
                     spec = ProductSpec(n, p, q, m)
                     brute = decompose_product_bruteforce(spec)
                     fast = decompose_product_highest_weights(spec)
-                    assert fast == brute, spec
-                    assert [c.witness for c in fast] == [c.witness for c in brute], spec
-                    assert decompose_product_character(spec) == brute.weight_multiset(), spec
+                    assert fast == brute, spec  # weights, sizes and witnesses, in order
+                    expected = Counter(c.weight.coeffs for c in brute)
+                    assert decompose_product_character(spec) == expected, spec
 
 
 def test_character_path_equals_the_highest_weight_path_at_rank5():
@@ -135,7 +133,8 @@ def test_character_path_equals_the_highest_weight_path_at_rank5():
         for q in range(1, 6):
             for m in range(1, 7):
                 spec = ProductSpec(5, p, q, m)
-                expected = decompose_product_highest_weights(spec).weight_multiset()
+                fast = decompose_product_highest_weights(spec)
+                expected = Counter(c.weight.coeffs for c in fast)
                 assert decompose_product_character(spec) == expected, spec
 
 
@@ -175,7 +174,7 @@ def test_verify_forms_no_product_set_and_applies_no_operator(monkeypatch):
 
 def test_a_missed_highest_weight_breaks_conservation(monkeypatch):
     spec = ProductSpec(3, 2, 3, 4)
-    dropped = decompose_product_highest_weights(spec).components[0].witness
+    dropped = decompose_product_highest_weights(spec)[0].witness
     is_highest_weight = Monomial.is_highest_weight
     monkeypatch.setattr(
         Monomial, "is_highest_weight", lambda self: self != dropped and is_highest_weight(self)
@@ -198,7 +197,7 @@ def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
 
     message = r"lengths 1 and 1 at rank 3 form 6\*6 products: 36 exceeds the vertex budget 35"
     with pytest.raises(VertexBudgetExceeded, match=message):
-        general_product_decomposition(3, 1, 2, 1)
+        decompose_product_bruteforce(ProductSpec(3, 1, 1, 2))
     # the factors are cached, so building the product set multiplies nothing else
     monkeypatch.setattr(Monomial, "__mul__", no_products)
     with pytest.raises(VertexBudgetExceeded, match=message):
@@ -344,37 +343,17 @@ def test_weight_pair_roundtrip():
             weight_to_pair(Weight(coeffs))
 
 
-# -- general lengths and shifts ------------------------------------------------------
+# -- lengths above n ----------------------------------------------------------------
 
 
-def test_normalize_length_folding():
-    # a length-3 set at rank 2 is the length-1 crystal one shift up
-    assert normalize_product_params(2, 3, 1, 1) == ProductSpec(2, 1, 1, 2)
-    assert normalize_product_params(2, 1, 1, 3) == ProductSpec(2, 1, 1, 2)
-    assert normalize_product_params(2, 3, 2, 3) == ProductSpec(2, 1, 1, 2)
-    assert normalize_product_params(2, 1, 1, 1, 3) == ProductSpec(2, 1, 1, 3)
-
-
-def test_normalize_swaps_when_left_shift_undershoots():
-    assert normalize_product_params(3, 2, 1, 1, 4) == ProductSpec(3, 1, 2, 4)
-
-
-def test_normalize_rejects_trivial_lengths():
-    with pytest.raises(ValueError):
-        normalize_product_params(2, 4, 1, 1)
-    # lengths outside [1, 2n], bools included, are refused naming the length
-    with pytest.raises(ValueError, match=r"index p=5 out of range \[1, 4\]"):
-        normalize_product_params(2, 5, 1, 1)
-    with pytest.raises(ValueError, match=r"index q=0 out of range \[1, 4\]"):
-        normalize_product_params(2, 1, 1, 0)
-    with pytest.raises(ValueError, match=r"index p=True out of range \[1, 4\]"):
-        normalize_product_params(2, True, 1, 1)
-
-
-def test_general_product_matches_its_normalization():
-    for n, p, m, q, l in [(2, 3, 1, 1, 1), (2, 3, 2, 2, 1), (2, 1, 3, 3, 1), (3, 4, 1, 2, 1)]:
-        dec, spec = general_product_decomposition(n, p, m, q, l)
-        assert decomposition_pairs(dec) == product_decomposition_closed_form(spec)
+def test_lengths_above_n_fold_down_one_shift_up_per_step():
+    # the length-k set at base m is the length-(2n - k) set at base m + k - n, so
+    # every product of fundamental sets is one of a ProductSpec; length 2n is the unit
+    for n in range(2, 5):
+        for k in range(n + 1, 2 * n):
+            for m in (-1, 0, 1, 2, 3):
+                assert m_k_set(n, k, m) == m_k_set(n, 2 * n - k, m + k - n), (n, k, m)
+        assert m_k_set(n, 2 * n, 1) == (Monomial.one(n),)
 
 
 # -- exhaustive verification -----------------------------------------------------------
