@@ -2,8 +2,9 @@
 
 Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
 ``images(i)`` (the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``,
-plus hashing and equality.  Monomials and tableau columns both qualify, so
-closure and decomposition are written once.
+plus hashing and equality; decompose_set asks for ``lowerings()``, the pairs
+``(eps(i), f(i))`` of every row, in place of ``images``.  Monomials qualify
+for both and tableau columns for closure, so each is written once.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -12,7 +13,7 @@ order are deterministic, and so is every document cncrystal.cli writes.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
 from .rootdata import VertexBudgetExceeded, vertex_budget
@@ -98,44 +99,46 @@ Component = namedtuple("Component", "weight size witness")
 def decompose_set(elements: Iterable) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
-    One breadth-first walk per component follows every e(i) and f(i) image,
-    which proves the set closed: an image outside it raises ValueError naming
-    the operator, row and element.  CrystalInvariantError: the walk enters an
-    earlier component, a component holds other than one highest-weight
-    element (all e(i) None), or that element's weight is not dominant.  A set
-    is walked as is; components are sorted by (weight.coeffs, size, sort_key).
-    """
+    One walk by decreasing height 2 sum_k (n+1-k) eps_k(wt), which every e(i)
+    raises, builds each edge once, as an f(i) image.  An element no parent
+    lowered into is the witness of a new component; the others join their first
+    parent's.  An image outside the set raises ValueError naming the operator,
+    row and element; the e(i) images, inverse to the f(i) edges, are all in it
+    exactly when as many eps(i) are positive as there are edges.
+    CrystalInvariantError: a witness is not highest weight or not dominant, or
+    two share a component.  Components are sorted by (weight.coeffs, size, sort_key)."""
     elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
-    owner: dict = {}
-    comps = []
-    for start in elems:
-        if start in owner:
-            continue
-        label = len(comps)
-        owner[start] = label
-        walk, highest = [start], []
-        for v in walk:
-            top = True
+    def refuse(suspects, otherwise: str):  # an error path: name an e(i) image outside the set
+        for v in suspects:
             for i in range(1, v.rank + 1):
-                up, down = v.images(i)
-                if up is not None:
-                    top = False
-                for w in (up, down):
-                    if w is None or (seen := owner.get(w)) == label:
-                        continue
-                    if seen is not None:
-                        raise CrystalInvariantError("components are not pairwise disjoint")
-                    if w not in elems:
-                        op = "e" if w is up else "f"
-                        raise ValueError(f"{op}_{i} of {v} leaves the set, not closed under e and f")
-                    owner[w] = label
-                    walk.append(w)
-            if top:
-                highest.append(v)
-        if len(highest) != 1:
-            raise CrystalInvariantError(f"a component holds {len(highest)} highest-weight elements")
-        weight = highest[0].weight()
-        if not weight.is_dominant():
-            raise CrystalInvariantError(f"highest weight {weight} is not dominant")
-        comps.append(Component(weight, len(walk), highest[0]))
+                if (up := v.images(i)[0]) is not None and up not in elems:
+                    raise ValueError(f"e_{i} of {v} leaves the set, not closed under e and f")
+        raise CrystalInvariantError(otherwise)
+
+    order = sorted(elems, reverse=True, key=lambda v: sum(
+        c * k * (2 * v.rank + 1 - k) for k, c in enumerate(v.weight().coeffs, 1)))
+    index = {v: k for k, v in enumerate(order)}  # holds no image: each is dropped once looked up
+    owner: dict = {}  # position in order -> component label
+    tops, raised, edges = [], 0, 0  # (weight, witness) per component; e(i) images; f(i) edges
+    for k, v in enumerate(order):
+        lowered = v.lowerings()
+        if (label := owner.get(k)) is None:
+            if any(eps for eps, _ in lowered):
+                refuse([v], "a component holds 0 highest-weight elements")
+            if not (weight := v.weight()).is_dominant():
+                raise CrystalInvariantError(f"highest weight {weight} is not dominant")
+            label = owner[k] = len(tops)
+            tops.append((weight, v))
+        for i, (eps, down) in enumerate(lowered, 1):
+            raised += eps > 0
+            if down is not None:
+                if (j := index.get(down)) is None:
+                    raise ValueError(f"f_{i} of {v} leaves the set, not closed under e and f")
+                edges += 1
+                if owner.setdefault(j, label) != label:
+                    raise CrystalInvariantError("a component holds 2 highest-weight elements")
+    if raised != edges:
+        refuse(order, f"e and f are not partial inverses: {raised} e-images, {edges} f-edges")
+    sizes = Counter(owner.values())
+    comps = (Component(weight, sizes[label], v) for label, (weight, v) in enumerate(tops))
     return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

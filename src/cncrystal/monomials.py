@@ -159,33 +159,7 @@ class Monomial:
         """(eps_i, phi_i, n_e, n_f); the shifts are meaningful only when the
         corresponding statistic is positive."""
         check_index(self.rank, i)
-        # Row i is the run of _key from bisect_left(key, (i,)) on, in
-        # increasing shift.  Walk it once, keeping the running prefix sum; the
-        # prefix sum is a virtual 0 just below the run, so the maximum over all
-        # of Z is attained at that point or at a shift of the run.
-        key = self._key
-        acc = best = 0
-        n_f = n_e = last = None
-        at_best = False  # whether the latest point attains the running maximum
-        for j, m, e in itertools.islice(key, bisect_left(key, (i,)), None):
-            if j != i:
-                break
-            if last is None:
-                n_f = m - 1
-                at_best = True
-            if at_best:
-                # the plateau holding the maximum ends just before this shift
-                n_e = m - 1
-            acc += e
-            if acc > best:
-                best, n_f = acc, m
-            at_best = acc >= best
-            last = m
-        if last is None:
-            return StringStats(0, 0, 0, 0)
-        if at_best:
-            n_e = last
-        return StringStats(best - acc, best, n_e, n_f)
+        return _scan_row(self._key, bisect_left(self._key, (i,)), i)[0]
 
     def epsilon(self, i: int) -> int:
         return self.string_stats(i).epsilon
@@ -194,13 +168,21 @@ class Monomial:
         return self.string_stats(i).phi
 
     def images(self, i: int) -> "tuple[Monomial | None, Monomial | None]":
-        """(e_i, f_i) from one string scan; this holds both operators' rule.
+        """(e_i, f_i) from one string scan, as lowerings() gives f_i for every row.
         e_i multiplies by A_i(n_e), or is None when eps_i = 0; f_i divides by
         A_i(n_f), or is None when phi_i = 0."""
         eps, phi, n_e, n_f = self.string_stats(i)
         up = self._merge(_root_triples(self.rank, i, n_e, 1)) if eps else None
         down = self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None
         return up, down
+
+    def lowerings(self) -> "tuple[tuple[int, Monomial | None], ...]":
+        """(eps_i, f_i) for every row i, from one pass over the key's consecutive row runs."""
+        out, k = [], 0
+        for i in range(1, self.rank + 1):
+            (eps, phi, _, n_f), k = _scan_row(self._key, k, i)
+            out.append((eps, self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None))
+        return tuple(out)
 
     def e(self, i: int) -> "Monomial | None":
         """Raising operator: the first of images(i)."""
@@ -244,6 +226,30 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial({self.rank}, {self.text()!r})"
+
+
+def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[StringStats, int]:
+    """string_stats of row i, whose run in key starts at index k, and the index past
+    it.  One walk up the run keeps the prefix sum, a virtual 0 just below the run,
+    so the maximum over all of Z is attained at that point or at a shift of it."""
+    acc = best = 0
+    n_f = n_e = None
+    for j, m, e in itertools.islice(key, k, None):
+        if j != i:
+            break
+        k += 1
+        if n_f is None:
+            n_f = m - 1
+        if acc == best:
+            n_e = m - 1  # the plateau holding the maximum ends just before this shift
+        acc += e
+        if acc > best:
+            best, n_f = acc, m
+        if acc == best:
+            n_e = m
+    if n_f is None:
+        return StringStats(0, 0, 0, 0), k
+    return StringStats(best - acc, best, n_e, n_f), k
 
 
 def _root_triples(n: int, i: int, m: int, sign: int) -> tuple[Triple, ...]:

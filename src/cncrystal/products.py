@@ -38,7 +38,7 @@ from math import comb
 from .graphs import Component, CrystalInvariantError, decompose_set, generate_closure
 from .monomials import Monomial, m_k_set
 from .rootdata import Weight, check_budget, check_index, check_positive, check_rank
-from .rootdata import weight_multiplicity, weyl_dimension
+from .rootdata import VertexBudgetExceeded, weight_multiplicity, weyl_dimension
 
 
 @dataclass(frozen=True)
@@ -231,6 +231,12 @@ def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
     of the closed form, which agree when the theorem holds there."""
     check_rank(n_max)
     check_positive(m_max, "m_max")
+    # refused before the first cell: one left factor per (n, p, m), then the largest crystal,
+    check_budget(m_max * sum(range(2, n_max + 1)), f"verify --m-max {m_max}: left-factor crystals")
+    try:  # which needs no budget when it is cached, as in fundamental_crystal
+        fundamental_crystal(n_max, n_max, 1)
+    except VertexBudgetExceeded as exc:
+        raise VertexBudgetExceeded(f"verify --n-max {n_max}: {exc}") from None
     cells = []
     for n in range(2, n_max + 1):
         for p in range(1, n + 1):

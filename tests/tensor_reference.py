@@ -54,6 +54,9 @@ class TensorPair:
     def images(self, i: int) -> "tuple[TensorPair | None, TensorPair | None]":
         return self.e(i), self.f(i)
 
+    def lowerings(self) -> "tuple[tuple[int, TensorPair | None], ...]":
+        return tuple((self.epsilon(i), self.f(i)) for i in range(1, self.rank + 1))
+
     def sort_key(self):
         return (self.left.sort_key(), self.right.sort_key())
 

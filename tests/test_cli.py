@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import cncrystal
-from cncrystal import cli, tableaux
+from cncrystal import cli, products, tableaux
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError
 from cncrystal.monomials import Monomial
@@ -234,6 +234,26 @@ def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, mon
     code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
     assert code == 0
     assert out.endswith('{"summary":true,"n_max":2,"m_max":1,"cells":4,"mismatches":0}\n')
+
+
+@pytest.mark.parametrize(
+    "n_max, m_max, needle",
+    [
+        # C(60, 30) X-words of length 30 at rank 30
+        ("30", "1", "error: verify --n-max 30: length 30 at rank 30 walks C(60, 30) X-words"),
+        # 4 * 10^8 cells, from 2 * 10^8 left-factor crystals at rank 2
+        ("2", "100000000", "error: verify --m-max 100000000: left-factor crystals: 200000000 exceeds"),
+    ],
+    ids=["n-max", "m-max"],
+)
+def test_verify_is_refused_before_its_first_cell(capsys, monkeypatch, n_max, m_max, needle):
+    monkeypatch.setattr(products, "decompose_product_character",
+                        lambda spec: pytest.fail(f"cell {spec} was computed"))
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--n-max", n_max, "--m-max", m_max)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "")
+    assert err.startswith(needle) and err.endswith("exceeds the vertex budget 1000000\n")
 
 
 def test_budget_refuses_the_column_oracle_before_any_column(capsys, monkeypatch):

@@ -11,10 +11,11 @@ from cncrystal.graphs import (
     is_closed,
 )
 from cncrystal.monomials import Monomial
-from cncrystal.products import ProductSpec, product_set
+from cncrystal.products import ProductSpec, fundamental_crystal, product_set
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
+from undirected_walk_reference import undirected_decompose_set
 
 
 def test_closure_rank2_path():
@@ -92,29 +93,73 @@ def test_decompose_rejects_sets_missing_their_highest_weight():
     assert str(info.value).startswith(f"e_1 of {vertices[1]} leaves the set")
 
 
-def count_string_scans(monkeypatch):
+def count_calls(monkeypatch, name):
     calls = []
-    scan = Monomial.string_stats
+    method = getattr(Monomial, name)
 
-    def counted(self, i):
-        calls.append(i)
-        return scan(self, i)
+    def counted(self, *args):
+        calls.append(args)
+        return method(self, *args)
 
-    monkeypatch.setattr(Monomial, "string_stats", counted)
+    monkeypatch.setattr(Monomial, name, counted)
     return calls
 
 
-def test_decompose_set_scans_each_string_once(monkeypatch):
+def test_decompose_set_builds_each_f_edge_once(monkeypatch):
     products = product_set(ProductSpec(3, 2, 3, 2))  # formed before the count starts
-    calls = count_string_scans(monkeypatch)
+    f_edges = sum(1 for v in products for i in (1, 2, 3) if v.phi(i))
+    passes, scans, merges = (count_calls(monkeypatch, name)
+                             for name in ("lowerings", "string_stats", "_merge"))
     decompose_set(products)
-    assert len(products) * 3 == len(calls) == 378
+    # one key pass per element, one product per f-edge, and no e(i) image
+    assert (len(passes), len(scans), len(merges)) == (len(products), 0, f_edges) == (126, 0, 209)
 
 
 def test_generate_closure_scans_each_string_once(monkeypatch):
-    calls = count_string_scans(monkeypatch)
+    calls = count_calls(monkeypatch, "string_stats")
     graph = generate_closure([Monomial.generator(4, 3, 1)])
     assert len(graph) * 4 == len(calls) == 192
+
+
+def reference_sets():
+    """Closed sets the undirected walk decomposes: every rank-2 and rank-3 product
+    cell with m <= 2n + 1, the three-fold rank-2 products and tensor pairs."""
+    for n in (2, 3):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                for m in range(1, 2 * n + 2):
+                    yield f"product {n} {p} {q} {m}", product_set(ProductSpec(n, p, q, m))
+    for factors in ([(1, 1), (1, 2), (2, 1)], [(2, 3), (1, 1), (2, 1)], [(1, 3), (1, 2), (1, 1)]):
+        a, b, c = (fundamental_crystal(2, k, m) for k, m in factors)
+        yield f"three-fold {factors}", {x * y * z for x in a for y in b for z in c}
+    for n, p, q in [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 3)]:
+        left, right = fundamental_crystal(n, p, 1), fundamental_crystal(n, q, 2)
+        yield f"tensor {n} {p} {q}", {TensorPair(a, b) for a in left for b in right}
+
+
+def outcome(walk, elements):
+    """The components walk returns, or the type of the error it raises."""
+    try:
+        return walk(elements)
+    except (ValueError, CrystalInvariantError) as exc:
+        return type(exc)
+
+
+def test_decompose_set_matches_the_undirected_walk():
+    opened = 0
+    for name, elements in reference_sets():
+        components = decompose_set(elements)
+        assert components == undirected_decompose_set(elements), name
+        # drop the highest-weight element of the largest component, then one in
+        # the middle; a dropped one-element component leaves the set closed
+        ordered = sorted(elements, key=lambda v: v.sort_key())
+        top = max(components, key=lambda c: c.size).witness
+        for dropped in (top, ordered[len(ordered) // 2]):
+            truncated = set(elements) - {dropped}
+            found = outcome(decompose_set, truncated)
+            assert found == outcome(undirected_decompose_set, truncated), (name, str(dropped))
+            opened += found is ValueError
+    assert opened == 90 + 87  # of the 90 sets, every top drop and 87 middle drops open it
 
 
 def test_decompose_product_set_rank2():
@@ -181,6 +226,9 @@ class Toy:
     def images(self, i):
         return self.e(i), self.f(i)
 
+    def lowerings(self):
+        return tuple((int(self.e(i) is not None), self.f(i)) for i in (1, 2))
+
     def weight(self):
         return Weight(self.table[self.name][2])
 
@@ -189,6 +237,9 @@ class Toy:
 
     def __eq__(self, other):
         return self.name == other.name
+
+    def __str__(self):
+        return self.name
 
     def __hash__(self):
         return ord(self.name)  # the same set order in every process
@@ -233,8 +284,8 @@ def test_decompose_toy_crystal():
             "holds 0 highest-weight elements",
         ),
         ({"a": ({}, {}, (-1, 0))}, "is not dominant"),
-        # f_2(b) = c but e_2(c) is None: a walk from a or c leaves b out and
-        # b's walk enters their component; a walk from b finds a and b
+        # f_2(b) = c but e_2(c) is None: b, the higher, lowers into c first, and
+        # a's f_1 edge then reaches c in b's component
         (
             {
                 "a": ({}, {1: "c"}, (1, 0)),
@@ -243,11 +294,26 @@ def test_decompose_toy_crystal():
             },
             "not pairwise disjoint|holds 2 highest-weight elements",
         ),
+        # e_2(b) = a but f_2(a) is None: b has two e(i) images and one f(i) edge
+        # enters it, though every image lies in the set
+        (
+            {"a": ({}, {1: "b"}, (1, 0)), "b": ({1: "a", 2: "a"}, {}, (-1, 1))},
+            "e and f are not partial inverses: 2 e-images, 1 f-edges",
+        ),
     ],
-    ids=["two-highest-weights", "closed-cycle", "non-dominant", "not-partial-inverses"],
+    ids=["two-highest-weights", "closed-cycle", "non-dominant", "not-partial-inverses",
+         "e-without-f"],
 )
 def test_decompose_rejects_broken_crystals(table, message):
     with pytest.raises(CrystalInvariantError, match=message):
+        decompose_set(toy_set(table))
+
+
+def test_decompose_names_an_e_image_outside_the_set():
+    # b is reached through f_1, so it opens no component; only the count of its
+    # two e(i) images against its one incoming f(i) edge finds e_2(b) = x outside
+    table = {"a": ({}, {1: "b"}, (1, 0)), "b": ({1: "a", 2: "x"}, {}, (-1, 1))}
+    with pytest.raises(ValueError, match="^e_2 of b leaves the set, not closed under e and f$"):
         decompose_set(toy_set(table))
 
 

@@ -393,6 +393,16 @@ def test_images_are_the_pair_of_e_and_f_on_random_monomials():
             assert str(by_images.value) == str(by_e.value)
 
 
+def test_lowerings_are_epsilon_and_f_of_every_row_on_random_monomials():
+    rng = random.Random(20261020)
+    for _ in range(2000):
+        n = rng.randint(2, 5)
+        mono = Monomial.from_factors(n, random_factors(rng, n))
+        assert mono.lowerings() == tuple(
+            (mono.string_stats(i).epsilon, mono.images(i)[1]) for i in range(1, n + 1)
+        )
+
+
 def test_cancellation_gives_the_canonical_one():
     for n, factors in [(2, [(1, 1, 1)]), (3, [(1, 0, 2), (2, 1, -1), (3, 1, 1)]),
                        (5, [(5, 4, -3), (1, -2, 1), (3, 3, 2), (3, 4, -1)])]:
