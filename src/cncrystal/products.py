@@ -7,7 +7,8 @@ three ways:
 
   * brute force: build the product set and split it into components in one
     walk, which also proves it closed;
-  * character: count only the products of each dominant weight, and peel
+  * character: count only the products of each dominant weight, as sums of
+    packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
     the components off those counts with Freudenthal weight multiplicities;
   * closed form: the arithmetic rule predicting which dominant weights
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
@@ -115,20 +116,26 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     return components
 
 
-def decompose_product_character(spec: ProductSpec) -> Counter:
-    """The weight multiset of the decomposition, comparable with
-    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).
-    The product set is closed, so it is a sum of m_lambda B(lambda) whose
-    W-invariant character is fixed by count(mu), the number of products a*b
-    of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
-    differ).  In descending epsilon-lex order, which refines dominance,
-    m_mu = count(mu) - sum m_nu * mult_nu(mu)."""
-    n, p, q = spec.n, spec.p, spec.q
-    left, right = {}, {}
-    for classes, k, shift in ((left, p, spec.m), (right, q, 1)):
-        for x in fundamental_crystal(n, k, shift):
-            classes.setdefault(x.weight().coeffs, []).append(x)
-    peeled, total, found = [], 0, 0
+def _packed(x: Monomial) -> int:
+    """x as one int: Y_i(s)^e is the balanced base-256 digit e at (s-1)*n + i-1, so shifting
+    x by a multiplies it by 256**(n*a).  Exponents in [-64, 64) keep a product's digits in
+    [-128, 127], so distinct products pack to distinct sums."""
+    out = 0
+    for i, s, e in x.sort_key():
+        if s < 1 or not -64 <= e < 64:
+            raise CrystalInvariantError(f"{x} does not pack: Y_{i}({s})^{e} is outside its field")
+        out += e << 8 * ((s - 1) * x.rank + i - 1)
+    return out
+
+
+@lru_cache(maxsize=1)  # verify's innermost loop is m, so one (n, p, q) is reused
+def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...]:
+    """(target, |W target|, [(left ints, right ints)]) for each dominant target below L_p + L_q,
+    in descending epsilon-lex order: the packed shift-1 factors, paired by weights adding to it."""
+    left, right, table = {}, {}, []
+    for classes, k in ((left, p), (right, q)):
+        for x in fundamental_crystal(n, k, 1):
+            classes.setdefault(x.weight().coeffs, []).append(_packed(x))
     # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
     # with no negative partial sum of the difference and an even whole
     for a in range(n, -1, -1):
@@ -137,19 +144,37 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
             if min(sums) < 0 or sums[-1] % 2:
                 continue
             target = weight_of_pair(n, a, c)
-            pairs = [(lw, right.get(tuple(t - x for t, x in zip(target.coeffs, w)), ()))
-                     for w, lw in left.items()]
-            where = f"lengths {p} and {q} at rank {n}, products of weight {target}"
-            check_budget(sum(len(lw) * len(rw) for lw, rw in pairs), where)
-            count = len({x * y for lw, rw in pairs for x in lw for y in rw})
+            pairs = [(lw, rw) for w, lw in left.items()
+                     if (rw := right.get(tuple(t - x for t, x in zip(target.coeffs, w))))]
             # |W target|: W permutes the target's entries and negates its c nonzero ones
-            total += count * comb(n, c) * comb(c, a) << c
-            copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)
-            if copies < 0:
-                raise CrystalInvariantError(f"peeling {spec} gives B({target}) {copies} times")
-            if copies:
-                peeled.append((target, copies))
-                found += copies * weyl_dimension(target)
+            table.append((target, comb(n, c) * comb(c, a) << c, pairs))
+    return tuple(table)
+
+
+def _distinct_products(pairs: list, shift: int) -> set[int]:  # each left factor shifted up
+    return {(x << shift) + y for lw, rw in pairs for x in lw for y in rw}
+
+
+def decompose_product_character(spec: ProductSpec) -> Counter:
+    """The weight multiset of the decomposition, comparable with
+    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).
+    The product set is closed, so it is a sum of m_lambda B(lambda) whose
+    W-invariant character is fixed by count(mu), the number of products a*b
+    of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
+    differ).  In descending epsilon-lex order, which refines dominance,
+    m_mu = count(mu) - sum m_nu * mult_nu(mu), counting packed ints (_weight_pairs)."""
+    where = f"lengths {spec.p} and {spec.q} at rank {spec.n}, products of weight"
+    peeled, total, found = [], 0, 0
+    for target, orbit, pairs in _weight_pairs(spec.n, spec.p, spec.q):
+        check_budget(sum(len(lw) * len(rw) for lw, rw in pairs), f"{where} {target}")
+        count = len(_distinct_products(pairs, 8 * spec.n * (spec.m - 1)))
+        total += count * orbit
+        copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)
+        if copies < 0:
+            raise CrystalInvariantError(f"peeling {spec} gives B({target}) {copies} times")
+        if copies:
+            peeled.append((target, copies))
+            found += copies * weyl_dimension(target)
     if found != total:  # total is the size of the product set, by W-invariance
         raise CrystalInvariantError(
             f"components of {spec} hold {found} elements, but its product set has {total}"
@@ -231,8 +256,8 @@ def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
     of the closed form, which agree when the theorem holds there."""
     check_rank(n_max)
     check_positive(m_max, "m_max")
-    # refused before the first cell: one left factor per (n, p, m), then the largest crystal,
-    check_budget(m_max * sum(range(2, n_max + 1)), f"verify --m-max {m_max}: left-factor crystals")
+    # refused before the first cell: the cells, then the largest crystal,
+    check_budget(m_max * sum(n * n for n in range(2, n_max + 1)), f"verify --m-max {m_max}: cells")
     try:  # which needs no budget when it is cached, as in fundamental_crystal
         fundamental_crystal(n_max, n_max, 1)
     except VertexBudgetExceeded as exc:

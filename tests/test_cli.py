@@ -11,8 +11,8 @@ import cncrystal
 from cncrystal import cli, products, tableaux
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError
-from cncrystal.monomials import Monomial
-from cncrystal.products import fundamental_crystal
+from cncrystal.products import ProductSpec, fundamental_crystal
+from cncrystal.rootdata import VertexBudgetExceeded
 
 
 def run_cli(capsys, *argv):
@@ -208,28 +208,36 @@ def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, mon
     for k in (1, 2):
         fundamental_crystal(2, k, 1)
     formed = []
-    multiply = Monomial.__mul__
+    distinct_products = products._distinct_products
 
-    def counted(a, b):
-        formed.append((a, b))
-        return multiply(a, b)
+    def counted(pairs, shift):
+        formed.append(sum(len(lw) * len(rw) for lw, rw in pairs))
+        return distinct_products(pairs, shift)
 
-    monkeypatch.setattr(Monomial, "__mul__", counted)
+    monkeypatch.setattr(products, "_distinct_products", counted)
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "3")
-    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
-    assert code == 1
-    assert out == ""
-    assert err == (
-        "error: lengths 1 and 1 at rank 2, products of weight 0: 4 exceeds the vertex budget 3\n"
+    with pytest.raises(VertexBudgetExceeded) as info:
+        products.decompose_product_character(ProductSpec(2, 1, 1, 1))
+    assert str(info.value) == (
+        "lengths 1 and 1 at rank 2, products of weight 0: 4 exceeds the vertex budget 3"
     )
-    assert len(formed) == 1 + 2  # none of weight 0
-    monkeypatch.undo()
+    assert formed == [1, 2]  # none of weight 0
+    # the sweep's 4 cells are refused before the first
+    formed.clear()
+    code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
+    assert (code, out, formed) == (1, "", [])
+    assert err == "error: verify --m-max 1: cells: 4 exceeds the vertex budget 3\n"
     # at 4 the first cell passes; the p = q = 2 cell forms 5 products of weight 0
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "4")
     code, out, err = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
     assert code == 1
     assert out == ""
-    assert "lengths 2 and 2 at rank 2, products of weight 0: 5 exceeds" in err
+    assert err == (
+        "error: lengths 2 and 2 at rank 2, products of weight 0: 5 exceeds the vertex budget 4\n"
+    )
+    # the products of each weight, cell by cell: (p, q) = (1, 1), (1, 2), (2, 1), and (2, 2)
+    # without weight 0
+    assert formed == [1, 2, 4] + [1, 3] + [1, 3] + [1, 2, 2]
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     code, out, _ = run_cli(capsys, "verify", "--n-max", "2", "--m-max", "1")
     assert code == 0
@@ -241,8 +249,8 @@ def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, mon
     [
         # C(60, 30) X-words of length 30 at rank 30
         ("30", "1", "error: verify --n-max 30: length 30 at rank 30 walks C(60, 30) X-words"),
-        # 4 * 10^8 cells, from 2 * 10^8 left-factor crystals at rank 2
-        ("2", "100000000", "error: verify --m-max 100000000: left-factor crystals: 200000000 exceeds"),
+        # 4 * 10^8 cells at rank 2
+        ("2", "100000000", "error: verify --m-max 100000000: cells: 400000000 exceeds"),
     ],
     ids=["n-max", "m-max"],
 )

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 
 import pytest
@@ -33,9 +34,36 @@ def test_fundamental_crystal_counts():
 
 
 def test_fundamental_crystal_translates():
-    base = fundamental_crystal(3, 2, 1)
-    shifted = fundamental_crystal(3, 2, 4)
-    assert tuple(sorted(v.shifted(3) for v in base)) == shifted
+    # verify builds only the shift-1 crystals and translates their packed ints
+    for n in range(2, 6):
+        for k in range(1, n + 1):
+            base = fundamental_crystal(n, k, 1)
+            for m in range(1, 2 * n + 2):
+                assert fundamental_crystal(n, k, m) == tuple(sorted(x.shifted(m - 1) for x in base))
+                for x in base:
+                    assert products._packed(x.shifted(m - 1)) == products._packed(x) << 8 * n * (m - 1)
+
+
+def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():
+    for exponent, shift in ((64, 2), (-65, 2), (1, 0)):
+        x = Monomial.generator(3, 2, shift, exponent)
+        with pytest.raises(CrystalInvariantError, match=fr"^{re.escape(str(x))} does not pack"):
+            products._packed(x)
+    # the digit of Y_2(2) sits at (2 - 1) * 3 + 2 - 1 = 4
+    assert products._packed(Monomial.generator(3, 2, 2, 63)) == 63 << 32
+    assert products._packed(Monomial.generator(3, 2, 2, -64)) == -64 << 32
+    assert products._packed(Monomial.from_factors(3, [(1, 1, 1), (3, 1, -2)])) == 1 - (2 << 16)
+
+
+def test_packed_sums_count_the_monomial_products():
+    for p, q, m in ((1, 1, 1), (2, 3, 4), (3, 2, 5), (3, 3, 7)):
+        spec = ProductSpec(3, p, q, m)
+        left = [products._packed(x) << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p, 1)]
+        right = [products._packed(y) for y in fundamental_crystal(3, q, 1)]
+        sums = {x + y for x in left for y in right}
+        monomials = product_set(spec)
+        assert len(sums) == len(monomials)
+        assert sums == {products._packed(z) for z in monomials}
 
 
 def test_product_set_sizes_rank2():
@@ -154,18 +182,24 @@ def test_character_path_invariants_name_the_spec(monkeypatch):
 
 
 def test_verify_forms_no_product_set_and_applies_no_operator(monkeypatch):
-    # the fundamental crystals are built (by closure, with e and f) beforehand;
-    # verify then only multiplies and weighs what the cache holds
+    # the shift-1 fundamental crystals are built (by closure, with e and f, and
+    # checked against their X-words) beforehand; verify then only packs, weighs
+    # and adds what the cache holds, and builds no crystal at another shift
     for n in range(2, 4):
         for k in range(1, n + 1):
-            for m in range(1, 3):
-                fundamental_crystal(n, k, m)
+            fundamental_crystal(n, k, 1)
+    cached = products.fundamental_crystal
 
     def forbidden(*args):
         raise AssertionError("verify called a forbidden function")
 
+    def shift_one(n, k, m):
+        assert m == 1, f"verify built the length-{k} crystal at shift {m}, rank {n}"
+        return cached(n, k, m)
+
     monkeypatch.setattr(products, "product_set", forbidden)
-    for name in ("e", "f", "string_stats"):
+    monkeypatch.setattr(products, "fundamental_crystal", shift_one)
+    for name in ("e", "f", "string_stats", "lowerings", "__mul__"):
         monkeypatch.setattr(Monomial, name, forbidden)
     cells = verify_range(3, 2)
     assert len(cells) == (4 + 9) * 2
