@@ -2,9 +2,10 @@
 
 Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
 ``images(i)`` (the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``,
-plus hashing and equality; decompose_set asks for ``lowerings()``, the pairs
-``(eps(i), f(i))`` of every row, in place of ``images``.  Monomials qualify
-for both and tableau columns for closure, so each is written once.
+plus hashing and equality; decompose_set also asks for ``ident()``, a name no
+two elements share, and ``lowerings()``, the pairs ``(eps(i), ident of f(i))``
+of every row.  Monomials qualify for both, their idents packed ints, and
+tableau columns for closure, so each is written once.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -16,11 +17,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from typing import Iterable, Sequence
 
-from .rootdata import VertexBudgetExceeded, vertex_budget
-
-
-class CrystalInvariantError(RuntimeError):
-    """A structural fact the theory guarantees failed to hold."""
+from .rootdata import CrystalInvariantError, VertexBudgetExceeded, vertex_budget
 
 
 class CrystalGraph:
@@ -100,11 +97,13 @@ def decompose_set(elements: Iterable) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
     One walk by decreasing height 2 sum_k (n+1-k) eps_k(wt), which every e(i)
-    raises, builds each edge once, as an f(i) image.  An element no parent
-    lowered into is the witness of a new component; the others join their first
-    parent's.  An image outside the set raises ValueError naming the operator,
-    row and element; the e(i) images, inverse to the f(i) edges, are all in it
-    exactly when as many eps(i) are positive as there are edges.
+    raises, finds each edge once, as the ident of an f(i) image.  An element no
+    parent lowered into is the witness of a new component; the others join their
+    first parent's.  An image outside the set raises ValueError naming the
+    operator, row and element; the e(i) images, inverse to the f(i) edges, are all
+    in it exactly when as many eps(i) are positive as there are edges.  The elements
+    share one rank; monomials must pack (shifts >= 1, exponents in [-64, 64)), as
+    product sets, three-fold products and closures of Y_k(m >= 1) do; ident() refuses others.
     CrystalInvariantError: a witness is not highest weight or not dominant, or
     two share a component.  Components are sorted by (weight.coeffs, size, sort_key)."""
     elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
@@ -117,12 +116,14 @@ def decompose_set(elements: Iterable) -> tuple[Component, ...]:
 
     order = sorted(elems, reverse=True, key=lambda v: sum(
         c * k * (2 * v.rank + 1 - k) for k, c in enumerate(v.weight().coeffs, 1)))
-    index = {v: k for k, v in enumerate(order)}  # holds no image: each is dropped once looked up
-    owner: dict = {}  # position in order -> component label
+    if len({v.rank for v in order}) > 1:  # idents of different ranks may coincide
+        raise ValueError("all elements must share one rank")
+    index = {v.ident(): k for k, v in enumerate(order)}  # lowerings() names images by ident
+    owner: list = [None] * len(order)  # position in order -> component label
     tops, raised, edges = [], 0, 0  # (weight, witness) per component; e(i) images; f(i) edges
     for k, v in enumerate(order):
         lowered = v.lowerings()
-        if (label := owner.get(k)) is None:
+        if (label := owner[k]) is None:
             if any(eps for eps, _ in lowered):
                 refuse([v], "a component holds 0 highest-weight elements")
             if not (weight := v.weight()).is_dominant():
@@ -135,10 +136,11 @@ def decompose_set(elements: Iterable) -> tuple[Component, ...]:
                 if (j := index.get(down)) is None:
                     raise ValueError(f"f_{i} of {v} leaves the set, not closed under e and f")
                 edges += 1
-                if owner.setdefault(j, label) != label:
+                if owner[j] not in (None, label):
                     raise CrystalInvariantError("a component holds 2 highest-weight elements")
+                owner[j] = label
     if raised != edges:
         refuse(order, f"e and f are not partial inverses: {raised} e-images, {edges} f-edges")
-    sizes = Counter(owner.values())
+    sizes = Counter(owner)
     comps = (Component(weight, sizes[label], v) for label, (weight, v) in enumerate(tops))
     return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

@@ -24,10 +24,12 @@ import itertools
 from bisect import bisect_left
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, prod
 from typing import Iterable, Iterator, Mapping
 
 from .rootdata import (
+    CrystalInvariantError,
     Weight,
     check_budget,
     check_index,
@@ -52,7 +54,7 @@ def _check_shift(shift, name: str) -> None:
 class Monomial:
     """Immutable Laurent monomial in the Y_i(m): _key, its nonzero (i, m, e) triples, sorted."""
 
-    __slots__ = ("rank", "_key", "_hash")
+    __slots__ = ("rank", "_key", "_hash", "_ident")
 
     def __init__(self, rank: int, exponents: Mapping[ExponentKey, int]):
         check_rank(rank)
@@ -65,15 +67,13 @@ class Monomial:
                 clean[(i, m)] = e
         self.rank = rank
         self._key = tuple(sorted((i, m, e) for (i, m), e in clean.items()))
-        self._hash = hash((rank, self._key))
+        self._hash, self._ident = hash((rank, self._key)), None
 
     @classmethod
     def _trusted(cls, rank: int, key: tuple[Triple, ...]) -> "Monomial":
         """Wrap a key already in canonical form (sorted, no zero exponents)."""
         obj = cls.__new__(cls)
-        obj.rank = rank
-        obj._key = key
-        obj._hash = hash((rank, key))
+        obj.rank, obj._key, obj._hash, obj._ident = rank, key, hash((rank, key)), None
         return obj
 
     @classmethod
@@ -107,6 +107,20 @@ class Monomial:
 
     def sort_key(self):
         return self._key
+
+    def ident(self) -> int:
+        """self as one int, kept: Y_i(s)^e is the balanced base-256 digit e at (s-1)*n + i-1,
+        so shifting by a multiplies it by 256**(n*a).  Exponents in [-64, 64) keep the digits of a
+        product of two, or of an f_i image, in [-128, 127], where the digits of an int are unique."""
+        if self._ident is None:
+            out, n = 0, self.rank
+            for i, s, e in self._key:
+                if s < 1 or not -64 <= e < 64:
+                    raise CrystalInvariantError(
+                        f"{self} does not pack: Y_{i}({s})^{e} is outside its field")
+                out += e << 8 * ((s - 1) * n + i - 1)
+            self._ident = out
+        return self._ident
 
     # -- ring operations ----------------------------------------------------
 
@@ -153,13 +167,13 @@ class Monomial:
         sums = [0] * self.rank
         for i, _, e in self._key:
             sums[i - 1] += e
-        return Weight(sums)
+        return Weight._trusted(tuple(sums))
 
     def string_stats(self, i: int) -> StringStats:
         """(eps_i, phi_i, n_e, n_f); the shifts are meaningful only when the
         corresponding statistic is positive."""
         check_index(self.rank, i)
-        return _scan_row(self._key, bisect_left(self._key, (i,)), i)[0]
+        return StringStats._make(_scan_row(self._key, bisect_left(self._key, (i,)), i)[0])
 
     def epsilon(self, i: int) -> int:
         return self.string_stats(i).epsilon
@@ -168,20 +182,19 @@ class Monomial:
         return self.string_stats(i).phi
 
     def images(self, i: int) -> "tuple[Monomial | None, Monomial | None]":
-        """(e_i, f_i) from one string scan, as lowerings() gives f_i for every row.
+        """(e_i, f_i) from one string scan, as lowerings() names f_i for every row.
         e_i multiplies by A_i(n_e), or is None when eps_i = 0; f_i divides by
         A_i(n_f), or is None when phi_i = 0."""
         eps, phi, n_e, n_f = self.string_stats(i)
         up = self._merge(_root_triples(self.rank, i, n_e, 1)) if eps else None
-        down = self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None
-        return up, down
+        return up, self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None
 
-    def lowerings(self) -> "tuple[tuple[int, Monomial | None], ...]":
-        """(eps_i, f_i) for every row i, from one pass over the key's consecutive row runs."""
-        out, k = [], 0
+    def lowerings(self) -> "tuple[tuple[int, int | None], ...]":
+        """(eps_i, f_i's ident or None) per row, in one key pass: self's plus A_i(n_f)**-1's."""
+        base, out, k = self.ident(), [], 0
         for i in range(1, self.rank + 1):
             (eps, phi, _, n_f), k = _scan_row(self._key, k, i)
-            out.append((eps, self._merge(_root_triples(self.rank, i, n_f, -1)) if phi else None))
+            out.append((eps, base + _lowering_ident(self.rank, i, n_f) if phi else None))
         return tuple(out)
 
     def e(self, i: int) -> "Monomial | None":
@@ -228,12 +241,11 @@ class Monomial:
         return f"Monomial({self.rank}, {self.text()!r})"
 
 
-def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[StringStats, int]:
-    """string_stats of row i, whose run in key starts at index k, and the index past
-    it.  One walk up the run keeps the prefix sum, a virtual 0 just below the run,
+def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[tuple[int, int, int, int], int]:
+    """string_stats of row i as a plain tuple, its run in key starting at index k, and the
+    index past it.  One walk up the run keeps the prefix sum, a virtual 0 just below the run,
     so the maximum over all of Z is attained at that point or at a shift of it."""
-    acc = best = 0
-    n_f = n_e = None
+    acc, best, n_f, n_e = 0, 0, None, None
     for j, m, e in itertools.islice(key, k, None):
         if j != i:
             break
@@ -247,9 +259,7 @@ def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[StringStats, int
             best, n_f = acc, m
         if acc == best:
             n_e = m
-    if n_f is None:
-        return StringStats(0, 0, 0, 0), k
-    return StringStats(best - acc, best, n_e, n_f), k
+    return ((0, 0, 0, 0) if n_f is None else (best - acc, best, n_e, n_f)), k
 
 
 def _root_triples(n: int, i: int, m: int, sign: int) -> tuple[Triple, ...]:
@@ -262,6 +272,11 @@ def _root_triples(n: int, i: int, m: int, sign: int) -> tuple[Triple, ...]:
     below = ((i - 1, m + 1, -sign * (2 if i == n else 1)),) if i >= 2 else ()
     above = ((i + 1, m, -sign),) if i < n else ()
     return below + ((i, m, sign), (i, m + 1, sign)) + above
+
+
+@lru_cache(maxsize=None)  # keys are (rank, row, shift): a few per set walked
+def _lowering_ident(n: int, i: int, m: int) -> int:  # A_i(m)**-1's, for a shift m >= 1 of the key
+    return Monomial._trusted(n, _root_triples(n, i, m, -1)).ident()
 
 
 def root_monomial(n: int, i: int, m: int) -> Monomial:

@@ -5,8 +5,8 @@ not a tensor product.  Such a product set is again closed under the crystal
 operators and splits into irreducibles; this module computes that splitting
 three ways:
 
-  * brute force: build the product set and split it into components in one
-    walk, which also proves it closed;
+  * brute force: build the product set and split it in one walk, which also
+    proves it closed and names each f_i image by its packed int (its ident);
   * character: count only the products of each dominant weight, as sums of
     packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
     the components off those counts with Freudenthal weight multiplicities;
@@ -116,18 +116,6 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     return components
 
 
-def _packed(x: Monomial) -> int:
-    """x as one int: Y_i(s)^e is the balanced base-256 digit e at (s-1)*n + i-1, so shifting
-    x by a multiplies it by 256**(n*a).  Exponents in [-64, 64) keep a product's digits in
-    [-128, 127], so distinct products pack to distinct sums."""
-    out = 0
-    for i, s, e in x.sort_key():
-        if s < 1 or not -64 <= e < 64:
-            raise CrystalInvariantError(f"{x} does not pack: Y_{i}({s})^{e} is outside its field")
-        out += e << 8 * ((s - 1) * x.rank + i - 1)
-    return out
-
-
 @lru_cache(maxsize=1)  # verify's innermost loop is m, so one (n, p, q) is reused
 def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...]:
     """(target, |W target|, [(left ints, right ints)]) for each dominant target below L_p + L_q,
@@ -135,7 +123,7 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...
     left, right, table = {}, {}, []
     for classes, k in ((left, p), (right, q)):
         for x in fundamental_crystal(n, k, 1):
-            classes.setdefault(x.weight().coeffs, []).append(_packed(x))
+            classes.setdefault(x.weight().coeffs, []).append(x.ident())
     # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
     # with no negative partial sum of the difference and an even whole
     for a in range(n, -1, -1):
@@ -162,7 +150,7 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
     W-invariant character is fixed by count(mu), the number of products a*b
     of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
     differ).  In descending epsilon-lex order, which refines dominance,
-    m_mu = count(mu) - sum m_nu * mult_nu(mu), counting packed ints (_weight_pairs)."""
+    m_mu = count(mu) - sum m_nu * mult_nu(mu), counting idents (_weight_pairs)."""
     where = f"lengths {spec.p} and {spec.q} at rank {spec.n}, products of weight"
     peeled, total, found = [], 0, 0
     for target, orbit, pairs in _weight_pairs(spec.n, spec.p, spec.q):

@@ -9,7 +9,7 @@ unitriangular, hence an exact integer bijection.
 The 2n weights +-eps_i of the vector representation are written as signed
 letters (+i for eps_i, -i for -eps_i) in the order 1 < ... < n < -n < ... < -1;
 both the monomial and the column model index their words by this alphabet.
-The vertex budget lives here too, in the one module every layer imports.
+The vertex budget and the invariant error live here, in the module every layer imports.
 """
 
 from __future__ import annotations
@@ -23,6 +23,10 @@ DEFAULT_VERTEX_BUDGET = 10**6
 
 class VertexBudgetExceeded(RuntimeError):
     """An enumeration would grow past the vertex budget (misuse guard)."""
+
+
+class CrystalInvariantError(RuntimeError):
+    """A structural fact the theory guarantees failed to hold."""
 
 
 def vertex_budget() -> int:
@@ -118,6 +122,12 @@ class Weight:
             if not is_int(c):
                 raise ValueError(f"weight coefficient {c!r} must be an integer")
         self._hash = hash(self.coeffs)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple[int, ...]) -> "Weight":  # unchecked: Monomial.weight()'s sums
+        obj = cls.__new__(cls)
+        obj.coeffs, obj._hash = coeffs, hash(coeffs)
+        return obj
 
     @property
     def rank(self) -> int:

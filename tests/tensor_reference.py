@@ -57,6 +57,9 @@ class TensorPair:
     def lowerings(self) -> "tuple[tuple[int, TensorPair | None], ...]":
         return tuple((self.epsilon(i), self.f(i)) for i in range(1, self.rank + 1))
 
+    def ident(self) -> "TensorPair":
+        return self
+
     def sort_key(self):
         return (self.left.sort_key(), self.right.sort_key())
 

@@ -108,11 +108,26 @@ def count_calls(monkeypatch, name):
 def test_decompose_set_builds_each_f_edge_once(monkeypatch):
     products = product_set(ProductSpec(3, 2, 3, 2))  # formed before the count starts
     f_edges = sum(1 for v in products for i in (1, 2, 3) if v.phi(i))
+    named = sum(ident is not None for v in products for _, ident in v.lowerings())
+    assert named == f_edges == 209
     passes, scans, merges = (count_calls(monkeypatch, name)
                              for name in ("lowerings", "string_stats", "_merge"))
     decompose_set(products)
-    # one key pass per element, one product per f-edge, and no e(i) image
-    assert (len(passes), len(scans), len(merges)) == (len(products), 0, f_edges) == (126, 0, 209)
+    # one key pass per element, naming each f-edge by its ident: no image is built
+    assert (len(passes), len(scans), len(merges)) == (len(products), 0, 0) == (126, 0, 0)
+
+
+def test_decompose_set_refuses_a_monomial_that_does_not_pack():
+    lone = Monomial.generator(2, 1, 0)
+    with pytest.raises(CrystalInvariantError, match=r"^Y1\(0\) does not pack: Y_1\(0\)\^1 is"):
+        decompose_set(set(fundamental_crystal(2, 1, 1)) | {lone})
+
+
+def test_decompose_set_rejects_mixed_ranks():
+    # Y_1(1) packs to 1 at every rank, so idents name elements only within one rank
+    assert Monomial.generator(2, 1, 1).ident() == Monomial.generator(3, 1, 1).ident() == 1
+    with pytest.raises(ValueError, match="^all elements must share one rank$"):
+        decompose_set(fundamental_crystal(2, 1, 1) + fundamental_crystal(3, 1, 1))
 
 
 def test_generate_closure_scans_each_string_once(monkeypatch):
@@ -228,6 +243,9 @@ class Toy:
 
     def lowerings(self):
         return tuple((int(self.e(i) is not None), self.f(i)) for i in (1, 2))
+
+    def ident(self):
+        return self
 
     def weight(self):
         return Weight(self.table[self.name][2])

@@ -1,8 +1,10 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 
+from cncrystal.graphs import CrystalInvariantError
 from cncrystal.monomials import (
     Monomial,
     XLetter,
@@ -54,6 +56,15 @@ def test_weight_of_examples():
     assert Y(4, (2, 5, 1), (4, 1, 1)).weight() == Weight((0, 1, 0, 1))
     assert Y(2, (1, 2, -1), (2, 1, 1)).weight() == Weight((-1, 1))
     assert Monomial.one(3).weight() == Weight.zero(3)
+    # weight() wraps its sums unchecked: the result must be the checked Weight's twin
+    rng = random.Random(20261021)
+    for _ in range(500):
+        n = rng.randint(2, 5)
+        mono = Monomial.from_factors(n, random_factors(rng, n))
+        sums = [sum(e for j, _, e in mono.sort_key() if j == i) for i in range(1, n + 1)]
+        weight = mono.weight()
+        assert weight == Weight(sums) and hash(weight) == hash(Weight(sums))
+        assert type(weight.coeffs) is tuple and weight.coeffs == tuple(sums)
 
 
 # -- string statistics ----------------------------------------------------------
@@ -397,10 +408,39 @@ def test_lowerings_are_epsilon_and_f_of_every_row_on_random_monomials():
     rng = random.Random(20261020)
     for _ in range(2000):
         n = rng.randint(2, 5)
-        mono = Monomial.from_factors(n, random_factors(rng, n))
+        # random shifts span [-3, 4]; idents need shifts >= 1, and the shift commutes with f
+        mono = Monomial.from_factors(n, random_factors(rng, n)).shifted(4)
         assert mono.lowerings() == tuple(
-            (mono.string_stats(i).epsilon, mono.images(i)[1]) for i in range(1, n + 1)
+            (mono.string_stats(i).epsilon, f.ident() if f else None)
+            for i in range(1, n + 1) for f in [mono.images(i)[1]]
         )
+
+
+def unchecked_packing(mono):
+    return sum(e << 8 * ((s - 1) * mono.rank + i - 1) for i, s, e in mono.sort_key())
+
+
+def test_lowerings_name_images_at_the_edge_of_the_field():
+    # an element's digits may sit at -64 or 63; f_i moves up to 4 of them by up to 2,
+    # so its image may leave the field, and lowerings() must still give its exact packing
+    edges = [Y(3, (3, 2, 63), (3, 3, -64), (2, 3, 63)),  # f_3: Y2(3)^65, Y3(3)^-65
+             Y(3, (2, 1, 63), (3, 1, 63), (1, 2, -64)),  # f_2: Y3(1)^64, Y1(2)^-63
+             Y(2, (1, 1, 63), (1, 2, -64), (2, 1, -64))]  # f_1: Y1(2)^-65, Y2(1)^-63
+    rng = random.Random(20261022)
+    for _ in range(300):
+        n = rng.randint(2, 4)
+        edges.append(Monomial(n, {(rng.randint(1, n), rng.randint(1, 4)): rng.choice((-64, 63, -1, 2))
+                                  for _ in range(rng.randint(1, 8))}))
+    outside = 0
+    for mono in edges:
+        for i, (_, ident) in enumerate(mono.lowerings(), 1):
+            f = mono.f(i)
+            assert ident == (None if f is None else unchecked_packing(f))
+            if f is not None and any(not -64 <= e < 64 for _, _, e in f.sort_key()):
+                outside += 1
+                with pytest.raises(CrystalInvariantError, match=fr"^{re.escape(str(f))} does not pack"):
+                    f.ident()
+    assert outside >= 3
 
 
 def test_cancellation_gives_the_canonical_one():

@@ -41,29 +41,29 @@ def test_fundamental_crystal_translates():
             for m in range(1, 2 * n + 2):
                 assert fundamental_crystal(n, k, m) == tuple(sorted(x.shifted(m - 1) for x in base))
                 for x in base:
-                    assert products._packed(x.shifted(m - 1)) == products._packed(x) << 8 * n * (m - 1)
+                    assert x.shifted(m - 1).ident() == x.ident() << 8 * n * (m - 1)
 
 
 def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():
     for exponent, shift in ((64, 2), (-65, 2), (1, 0)):
         x = Monomial.generator(3, 2, shift, exponent)
         with pytest.raises(CrystalInvariantError, match=fr"^{re.escape(str(x))} does not pack"):
-            products._packed(x)
+            x.ident()
     # the digit of Y_2(2) sits at (2 - 1) * 3 + 2 - 1 = 4
-    assert products._packed(Monomial.generator(3, 2, 2, 63)) == 63 << 32
-    assert products._packed(Monomial.generator(3, 2, 2, -64)) == -64 << 32
-    assert products._packed(Monomial.from_factors(3, [(1, 1, 1), (3, 1, -2)])) == 1 - (2 << 16)
+    assert Monomial.generator(3, 2, 2, 63).ident() == 63 << 32
+    assert Monomial.generator(3, 2, 2, -64).ident() == -64 << 32
+    assert Monomial.from_factors(3, [(1, 1, 1), (3, 1, -2)]).ident() == 1 - (2 << 16)
 
 
 def test_packed_sums_count_the_monomial_products():
     for p, q, m in ((1, 1, 1), (2, 3, 4), (3, 2, 5), (3, 3, 7)):
         spec = ProductSpec(3, p, q, m)
-        left = [products._packed(x) << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p, 1)]
-        right = [products._packed(y) for y in fundamental_crystal(3, q, 1)]
+        left = [x.ident() << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p, 1)]
+        right = [y.ident() for y in fundamental_crystal(3, q, 1)]
         sums = {x + y for x in left for y in right}
         monomials = product_set(spec)
         assert len(sums) == len(monomials)
-        assert sums == {products._packed(z) for z in monomials}
+        assert sums == {z.ident() for z in monomials}
 
 
 def test_product_set_sizes_rank2():
