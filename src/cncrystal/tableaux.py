@@ -13,7 +13,9 @@ down the column, write - for each letter with eps_i = 1 and + for each letter
 with phi_i = 1, and let every + cancel the nearest free - below it.  Then
 eps_i counts the free -, phi_i the free +, e_i raises the lowest free - and
 f_i lowers the highest free +.  Admissible columns (the one-column condition
-below) realize the fundamental crystal of highest weight L_N.
+below) realize the fundamental crystal of highest weight L_N.  The i-signature
+of a word u reduces to -^eps_i(u) +^phi_i(u), so the word u.v has
+eps_i(u) + max(0, eps_i(v) - phi_i(u)) free -: Kashiwara's tensor rule.
 
 This model is the independent oracle for tensor-product decompositions: it
 imports only the root data and never touches the monomial realization.
@@ -22,6 +24,7 @@ imports only the root data and never touches the monomial realization.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 from typing import Iterable
 
@@ -165,22 +168,19 @@ def column_is_admissible(column: Column) -> bool:
     return True
 
 
+@lru_cache(maxsize=None, typed=True)  # typed: a cached (n, 1) must not answer (n, True)
 def column_crystal(n: int, length: int) -> tuple[Column, ...]:
-    """All admissible strictly increasing columns of the given length.
+    """All admissible strictly increasing columns of the given length, in
+    sort_key order, as the alphabet is listed in letter order.
 
     This is the fundamental crystal of highest weight L_length; closure under
     the operators is a theorem (and is asserted by the test suite), not
-    something this enumeration enforces.
-    """
+    something this enumeration enforces.  A cache hit enumerates nothing, so
+    the caller checks the budget."""
     check_rank(n)
     check_index(n, length, "length")
-    out = [
-        column
-        for combo in itertools.combinations(letter_alphabet(n), length)
-        for column in (Column(n, combo),)
-        if column_is_admissible(column)
-    ]
-    return tuple(sorted(out, key=Column.sort_key))
+    columns = (Column(n, combo) for combo in itertools.combinations(letter_alphabet(n), length))
+    return tuple(filter(column_is_admissible, columns))
 
 
 def tensor_highest_weights(
@@ -189,14 +189,14 @@ def tensor_highest_weights(
     """All highest-weight pairs u (x) v with u, v in the fundamental crystals
     of lengths p and q.
 
-    u (x) v is highest weight exactly when the word u.v is.  A free - of u
-    stays free in u.v, so only a highest-weight u can start a pair, and only
-    the partners of such a u are scanned.
+    u (x) v is highest weight exactly when the word u.v is: by the tensor rule
+    (module docstring), when eps_i(u) = 0 and eps_i(v) <= phi_i(u) for all i.
+    A free - of u stays free in u.v: only a highest-weight u can start a pair.
     """
     check_rank(n)
     check_index(n, p, "p")
     check_index(n, q, "q")
-    # before any column is built: column_crystal walks C(2n, length) letter combinations
+    # before column_crystal, whose cache would skip it: a miss walks C(2n, length) combinations
     for length in (p, q):
         check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
     left = column_crystal(n, p)
@@ -205,8 +205,8 @@ def tensor_highest_weights(
     for u in left:
         if not u.is_highest_weight():
             continue
-        wu = u.weight()
+        wu, room = u.weight(), [u.phi(i) for i in range(1, n + 1)]
         for v in right:
-            if Column(n, u.letters + v.letters).is_highest_weight():
+            if all(v.epsilon(i) <= phi for i, phi in enumerate(room, start=1)):
                 out.append((u, v, wu + v.weight()))
     return tuple(out)

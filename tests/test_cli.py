@@ -282,6 +282,16 @@ def test_budget_refuses_the_column_oracle_before_any_column(capsys, monkeypatch)
     assert out.endswith("oracle-agreement=true\n")
 
 
+def test_budget_refuses_the_column_oracle_with_a_warm_cache(capsys, monkeypatch):
+    # column_crystal is cached: a cache that already holds the 48 admissible
+    # columns of length 3 at rank 4 must not skip the refusal of their C(8, 3) = 56
+    assert len(tableaux.column_crystal(4, 3)) == 48
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "55")
+    code, out, err = run_cli(capsys, "decompose-tensor", "--rank", "4", "--p", "2", "--q", "3")
+    assert (code, out) == (1, "")
+    assert err == "error: columns of length 3 at rank 4: 56 exceeds the vertex budget 55\n"
+
+
 def test_invariant_errors_exit_2(capsys, monkeypatch):
     def broken(spec):
         raise CrystalInvariantError(f"product set for {spec} is not operator-closed")

@@ -104,6 +104,21 @@ def test_column_crystal_counts():
     assert len(column_crystal(5, 3)) == 110
 
 
+def test_column_crystal_is_in_increasing_sort_key_order():
+    for n in range(2, 7):
+        for length in range(1, n + 1):
+            keys = [column.sort_key() for column in column_crystal(n, length)]
+            assert all(a < b for a, b in zip(keys, keys[1:])), (n, length)
+
+
+def test_column_crystal_cache_answers_no_unvalidated_key():
+    # True == 1 and 2.0 == 2 hash alike: a cached (2, 1) must not answer them
+    column_crystal(2, 1)
+    for n, length in [(2, True), (2.0, 1)]:
+        with pytest.raises(ValueError):
+            column_crystal(n, length)
+
+
 def test_column_crystal_closed_under_operators():
     for n, length in [(2, 1), (2, 2), (3, 2), (3, 3), (4, 3)]:
         cols = column_crystal(n, length)
