@@ -20,7 +20,7 @@ from .monomials import (
     StringStats,
     XLetter,
     m_k_set,
-    root_monomial,
+    unpack,
     x_monomial,
 )
 from .products import (
@@ -39,8 +39,6 @@ from .products import (
 from .rootdata import (
     VertexBudgetExceeded,
     Weight,
-    cartan_entry,
-    simple_root,
     weyl_dimension,
 )
 from .tableaux import (
@@ -61,7 +59,6 @@ __all__ = [
     "VertexBudgetExceeded",
     "Weight",
     "XLetter",
-    "cartan_entry",
     "column_crystal",
     "column_is_admissible",
     "decompose_product_bruteforce",
@@ -74,10 +71,9 @@ __all__ = [
     "predicted_components",
     "product_decomposition_closed_form",
     "product_set",
-    "root_monomial",
-    "simple_root",
     "tensor_decomposition_closed_form",
     "tensor_highest_weights",
+    "unpack",
     "verify_range",
     "weight_of_pair",
     "weight_to_pair",

@@ -26,7 +26,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Iterator, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .rootdata import (
     CrystalInvariantError,
@@ -86,24 +86,7 @@ class Monomial:
         """Y_i(m)**exponent."""
         return cls(rank, {(i, m): exponent})
 
-    @classmethod
-    def from_factors(cls, rank: int, factors: Iterable[Triple]) -> "Monomial":
-        """Product of Y_i(m)**e factors given as (i, m, e) triples."""
-        exps: dict[ExponentKey, int] = {}
-        for i, m, e in factors:
-            key = (i, m)
-            exps[key] = exps.get(key, 0) + e
-        return cls(rank, exps)
-
     # -- structure ---------------------------------------------------------
-
-    def exponent(self, i: int, m: int) -> int:
-        key = self._key
-        k = bisect_left(key, (i, m))
-        return key[k][2] if k < len(key) and key[k][0] == i and key[k][1] == m else 0
-
-    def support(self) -> tuple[ExponentKey, ...]:
-        return tuple((i, m) for i, m, _ in self._key)
 
     def sort_key(self):
         return self._key
@@ -145,9 +128,6 @@ class Monomial:
         if other.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         return self._merge(other._key)
-
-    def inv(self) -> "Monomial":
-        return Monomial._trusted(self.rank, tuple((i, m, -e) for i, m, e in self._key))
 
     def __truediv__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -279,12 +259,38 @@ def _lowering_ident(n: int, i: int, m: int) -> int:  # A_i(m)**-1's, for a shift
     return Monomial._trusted(n, _root_triples(n, i, m, -1)).ident()
 
 
-def root_monomial(n: int, i: int, m: int) -> Monomial:
-    """A_i(m) as a Monomial; multiplying by it raises the weight by alpha_i."""
+def unpack(n: int, ident: int) -> Monomial:
+    """Inverse of Monomial.ident() at rank n: each balanced base-256 digit is an exponent."""
     check_rank(n)
-    check_index(n, i)
-    _check_shift(m, "m")
-    return Monomial._trusted(n, _root_triples(n, i, m, 1))
+    key, pos = [], 0
+    while ident:
+        e = ((ident + 128) & 255) - 128
+        if e:
+            key.append((pos % n + 1, pos // n + 1, e))
+        ident, pos = (ident - e) >> 8, pos + 1
+    return Monomial._trusted(n, tuple(sorted(key)))
+
+
+def packed_rows(n: int, idents: Collection[int]) -> dict[int, list]:
+    """Each packed ident of rank n -> per row i, the (eps_i, wt_i = phi_i - eps_i, ident
+    offset of f_i or None) of its monomial, building none.  Adding 0x8080...80 makes each
+    balanced digit a byte, digit + 128, with no carry, so row i is the slice [i-1::n] of the
+    bytes; _scan_row reads each distinct slice of a row once, and a dict answers it after."""
+    size = max((abs(x).bit_length() for x in idents), default=0) // 8 + 1
+    bias = int.from_bytes(b"\x80" * size, "little")
+    rows = [(i, slice(i - 1, None, n), {}) for i in range(1, n + 1)]  # row, bytes, seen slices
+
+    def scan(i: int, seen: dict, digits: bytes) -> tuple:
+        key = tuple((i, s, d - 128) for s, d in enumerate(digits, 1) if d != 128)
+        eps, phi, _, n_f = _scan_row(key, 0, i)[0]
+        seen[digits] = row = (eps, phi - eps, _lowering_ident(n, i, n_f) if phi else None)
+        return row
+
+    out = {}
+    for x in idents:
+        b = (x + bias).to_bytes(size, "little")
+        out[x] = [seen.get(b[cut]) or scan(i, seen, b[cut]) for i, cut, seen in rows]
+    return out
 
 
 # -- X-variables and the fundamental sets M_k(m) -------------------------------

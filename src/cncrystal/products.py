@@ -5,8 +5,10 @@ not a tensor product.  Such a product set is again closed under the crystal
 operators and splits into irreducibles; this module computes that splitting
 three ways:
 
-  * brute force: build the product set and split it in one walk, which also
-    proves it closed and names each f_i image by its packed int (its ident);
+  * brute force: form the product set as packed ints (idents), sums of the
+    shift-1 factors' idents, and split it in one walk over those ints, which
+    also proves it closed; it reads each element's rows from the int's bytes
+    and decodes only the witnesses into monomials;
   * character: count only the products of each dominant weight, as sums of
     packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
     the components off those counts with Freudenthal weight multiplicities;
@@ -59,7 +61,7 @@ class ProductSpec:
         check_positive(self.m, "m")
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1, 1) must not answer (n, True, 1)
 def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     """Connected component of Y_k(m): the monomial model of the k-th
     fundamental crystal, cross-checked against the X-word enumeration.
@@ -78,37 +80,38 @@ def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
     return closure  # the operators' images share key triples; the words' do not
 
 
-def product_set(spec: ProductSpec) -> set[Monomial]:
-    """All entrywise products, formed (and checked against the budget) on
-    every call.  The set is proven operator-closed when it is decomposed:
-    decompose_set's walk finds every operator image inside it."""
-    left = fundamental_crystal(spec.n, spec.p, spec.m)
+def product_set(spec: ProductSpec) -> set[int]:
+    """All entrywise products as packed ints, formed (and checked against the budget) on every
+    call, building no monomial: {(x << 8n(m-1)) + y} over the idents x of M_p(1) and y of
+    M_q(1).  decompose_set(products, spec.n) walks them and proves the set operator-closed."""
+    left = fundamental_crystal(spec.n, spec.p, 1)
     right = fundamental_crystal(spec.n, spec.q, 1)
     check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
                  f"form {len(left)}*{len(right)} products")
-    return {a * b for a in left for b in right}
+    pairs = [([x.ident() for x in left], [y.ident() for y in right])]
+    return _distinct_products(pairs, 8 * spec.n * (spec.m - 1))
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
-    """Decompose the product set by one walk over its components, naming the
+    """Decompose the product set by one walk over its packed ints, naming the
     spec and the phase of a broken invariant; an open product set is one,
     since the theory says each is operator-closed.
 
     Also checks the structural fact that every highest-weight product splits
-    off the left factor Y_p(m): dividing a witness by it must land in the
-    right-hand fundamental crystal.
+    off the left factor Y_p(m): subtracting its ident from a witness's must
+    leave the ident of an element of the right-hand fundamental crystal.
     """
     products = product_set(spec)
     try:
-        components = decompose_set(products)
+        components = decompose_set(products, spec.n)
     except ValueError as exc:
         raise CrystalInvariantError(f"product set for {spec} is not operator-closed: {exc}") from exc
     except CrystalInvariantError as exc:
         raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
-    right = set(fundamental_crystal(spec.n, spec.q, 1))
+    right = {y.ident() for y in fundamental_crystal(spec.n, spec.q, 1)}
     for component in components:
-        if component.witness / left_hw not in right:
+        if component.witness.ident() - left_hw.ident() not in right:
             raise CrystalInvariantError(
                 f"decomposing {spec}: highest-weight product {component.witness} "
                 f"has no factorization with left factor {left_hw}"

@@ -92,24 +92,6 @@ def letter_alphabet(n: int) -> tuple[int, ...]:
     return tuple(range(1, n + 1)) + tuple(range(-n, 0))
 
 
-def cartan_entry(n: int, i: int, j: int) -> int:
-    """Entry a_ij of the type-C_n Cartan matrix.
-
-    The only asymmetry is the doubled entry a_{n-1,n} = -2 coming from the
-    long simple root alpha_n.
-    """
-    check_rank(n)
-    check_index(n, i, "i")
-    check_index(n, j, "j")
-    if i == j:
-        return 2
-    if (i, j) == (n - 1, n):
-        return -2
-    if abs(i - j) == 1:
-        return -1
-    return 0
-
-
 class Weight:
     """Integer weight sum(coeffs[i-1] * L_i), stored in fundamental-weight coordinates."""
 
@@ -274,9 +256,3 @@ def _freudenthal(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     gap = sum((a - b) * (a + b + 2 * r) for a, b, r in zip(lam, mu, range(n, 0, -1)))
     return 2 * total // gap
 
-
-def simple_root(n: int, i: int) -> Weight:
-    """alpha_i in fundamental-weight coordinates (column i of the Cartan matrix)."""
-    check_rank(n)
-    check_index(n, i)
-    return Weight(tuple(cartan_entry(n, j, i) for j in range(1, n + 1)))

@@ -183,6 +183,12 @@ def column_crystal(n: int, length: int) -> tuple[Column, ...]:
     return tuple(filter(column_is_admissible, columns))
 
 
+@lru_cache(maxsize=None)  # keyed by a cached column_crystal, so it scans once per (n, length)
+def _highest_weights(crystal: tuple[Column, ...]) -> tuple[tuple[Column, Weight, list], ...]:
+    return tuple((u, u.weight(), [u.phi(i) for i in range(1, u.rank + 1)])  # phi_i for every i
+                 for u in crystal if u.is_highest_weight())
+
+
 def tensor_highest_weights(
     n: int, p: int, q: int
 ) -> tuple[tuple[Column, Column, Weight], ...]:
@@ -199,13 +205,9 @@ def tensor_highest_weights(
     # before column_crystal, whose cache would skip it: a miss walks C(2n, length) combinations
     for length in (p, q):
         check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
-    left = column_crystal(n, p)
-    right = column_crystal(n, q)
+    left, right = column_crystal(n, p), column_crystal(n, q)
     out = []
-    for u in left:
-        if not u.is_highest_weight():
-            continue
-        wu, room = u.weight(), [u.phi(i) for i in range(1, n + 1)]
+    for u, wu, room in _highest_weights(left):
         for v in right:
             if all(v.epsilon(i) <= phi for i, phi in enumerate(room, start=1)):
                 out.append((u, v, wu + v.weight()))

@@ -22,8 +22,8 @@ from cncrystal.products import (
     tensor_decomposition_closed_form,
     weight_of_pair,
 )
-from cncrystal.rootdata import simple_root
 from cncrystal.tableaux import tensor_highest_weights
+from helpers import from_factors, monomial_products, simple_root
 
 
 def report(criterion: int, ok: bool, detail: str = "") -> None:
@@ -31,7 +31,7 @@ def report(criterion: int, ok: bool, detail: str = "") -> None:
 
 
 def factors(n, *triples):
-    return Monomial.from_factors(n, triples)
+    return from_factors(n, triples)
 
 
 # -- criterion 1: the rank-2 example suite, exhaustively ---------------------------------
@@ -240,7 +240,7 @@ def random_monomial(rng):
         (rng.randint(1, n), rng.randint(-3, 9), rng.choice([-2, -1, 1, 2]))
         for _ in range(rng.randint(0, 6))
     ]
-    return Monomial.from_factors(n, entries)
+    return from_factors(n, entries)
 
 
 def check_element_properties(m):
@@ -294,7 +294,7 @@ def test_criterion_6_property_suites():
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 for m in (1, 2, 4):
-                    assert is_closed(product_set(ProductSpec(n, p, q, m)))
+                    assert is_closed(monomial_products(ProductSpec(n, p, q, m)))
     for n, triple in [(2, ((1, 2), (2, 1), (1, 1))), (3, ((2, 2), (3, 1), (1, 3)))]:
         sets = [fundamental_crystal(n, k, m) for k, m in triple]
         assert is_closed({a * b * c for a in sets[0] for b in sets[1] for c in sets[2]})

@@ -10,12 +10,14 @@ from cncrystal.graphs import (
     generate_closure,
     is_closed,
 )
-from cncrystal.monomials import Monomial
+from cncrystal import monomials
+from cncrystal.monomials import Monomial, unpack
 from cncrystal.products import ProductSpec, fundamental_crystal, product_set
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
 from undirected_walk_reference import undirected_decompose_set
+from helpers import monomial_products
 
 
 def test_closure_rank2_path():
@@ -106,7 +108,7 @@ def count_calls(monkeypatch, name):
 
 
 def test_decompose_set_builds_each_f_edge_once(monkeypatch):
-    products = product_set(ProductSpec(3, 2, 3, 2))  # formed before the count starts
+    products = monomial_products(ProductSpec(3, 2, 3, 2))  # formed before the count starts
     f_edges = sum(1 for v in products for i in (1, 2, 3) if v.phi(i))
     named = sum(ident is not None for v in products for _, ident in v.lowerings())
     assert named == f_edges == 209
@@ -143,7 +145,7 @@ def reference_sets():
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 for m in range(1, 2 * n + 2):
-                    yield f"product {n} {p} {q} {m}", product_set(ProductSpec(n, p, q, m))
+                    yield f"product {n} {p} {q} {m}", monomial_products(ProductSpec(n, p, q, m))
     for factors in ([(1, 1), (1, 2), (2, 1)], [(2, 3), (1, 1), (2, 1)], [(1, 3), (1, 2), (1, 1)]):
         a, b, c = (fundamental_crystal(2, k, m) for k, m in factors)
         yield f"three-fold {factors}", {x * y * z for x in a for y in b for z in c}
@@ -175,6 +177,75 @@ def test_decompose_set_matches_the_undirected_walk():
             assert found == outcome(undirected_decompose_set, truncated), (name, str(dropped))
             opened += found is ValueError
     assert opened == 90 + 87  # of the 90 sets, every top drop and 87 middle drops open it
+
+
+def packed_cells():
+    """Every rank 2-4 product cell with m <= 2n + 1, and C5 (4,5) at m = 1 and m = 5."""
+    for n in (2, 3, 4):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                for m in range(1, 2 * n + 2):
+                    yield ProductSpec(n, p, q, m)
+    yield from (ProductSpec(5, 4, 5, 1), ProductSpec(5, 4, 5, 5))
+
+
+def test_the_packed_walk_matches_the_monomial_walk():
+    for spec in packed_cells():
+        packed, formed = product_set(spec), monomial_products(spec)
+        assert packed == {x.ident() for x in formed}, spec
+        # weights, sizes and witnesses: the witnesses decode to the same monomials
+        assert decompose_set(packed, spec.n) == decompose_set(formed), spec
+
+
+def failure(walk, elements):
+    """The components walk returns, or the type and message of the error it raises."""
+    try:
+        return walk(elements)
+    except (ValueError, CrystalInvariantError) as exc:
+        return type(exc), str(exc)
+
+
+def test_truncated_packed_sets_fail_as_the_monomial_walk_does():
+    # walked in the same order (height, then ident), both name the same element
+    opened = 0
+    for spec in packed_cells():
+        if spec.n > 3:
+            break
+        formed = monomial_products(spec)
+        ordered = sorted(formed, key=lambda v: v.sort_key())
+        top = max(decompose_set(formed), key=lambda c: c.size).witness
+        for dropped in (top, ordered[len(ordered) // 2]):
+            truncated = formed - {dropped}
+            found = failure(lambda s: decompose_set(s, spec.n), {x.ident() for x in truncated})
+            assert found == failure(decompose_set, truncated), (spec, str(dropped))
+            opened += found[0] is ValueError
+    assert opened == 83 + 80  # of the 83 sets, every top drop and 80 middle drops open it
+
+
+def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
+    spec = ProductSpec(3, 2, 3, 4)
+    packed = product_set(spec)
+    components = decompose_set(packed, spec.n)  # fills the lru_cache of the f_i offsets
+    built = []
+    trusted = Monomial._trusted.__func__
+
+    def counted(cls, rank, key):
+        built.append(key)
+        return trusted(cls, rank, key)
+
+    scans = []
+    scan_row = monomials._scan_row
+    monkeypatch.setattr(monomials, "_scan_row", lambda *args: scans.append(args) or scan_row(*args))
+    monkeypatch.setattr(Monomial, "_trusted", classmethod(counted))
+    for name in ("lowerings", "string_stats", "_merge"):
+        monkeypatch.setattr(Monomial, name, None)
+    assert decompose_set(packed, spec.n) == components
+    # one monomial per component, none per product or edge
+    assert (len(packed), len(built)) == (196, len(components)) == (196, 3)
+    # and one row scan per distinct row of the set
+    rows = {(i, tuple(t for t in unpack(3, x).sort_key() if t[0] == i))
+            for x in packed for i in (1, 2, 3)}
+    assert len(scans) == len(rows) < 3 * len(packed)
 
 
 def test_decompose_product_set_rank2():
@@ -255,6 +326,9 @@ class Toy:
 
     def __eq__(self, other):
         return self.name == other.name
+
+    def __lt__(self, other):  # decompose_set takes elements of equal height in ident order
+        return self.name < other.name
 
     def __str__(self):
         return self.name

@@ -9,26 +9,26 @@ from cncrystal.monomials import (
     Monomial,
     XLetter,
     m_k_set,
-    root_monomial,
     x_monomial,
 )
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
+from helpers import exponent, from_factors, inv, root_monomial, support
 
 
 def Y(n, *factors):
-    return Monomial.from_factors(n, factors)
+    return from_factors(n, factors)
 
 
 def naive_string_stats(mono, i, pad=6):
     """Direct evaluation of the max-sum definitions over a wide window:
     (eps, phi, n_e, n_f), with n_f the smallest maximizer of the prefix sum
     sum_{k <= m} and n_e the largest maximizer of -sum_{k > m}."""
-    shifts = [m for (j, m) in mono.support() if j == i]
+    shifts = [m for (j, m) in support(mono) if j == i]
     if not shifts:
         return 0, 0, None, None
     window = range(min(shifts) - pad, max(shifts) + pad + 1)
-    below = {m: sum(mono.exponent(i, k) for k in window if k <= m) for m in window}
-    above = {m: -sum(mono.exponent(i, k) for k in window if k > m) for m in window}
+    below = {m: sum(exponent(mono, i, k) for k in window if k <= m) for m in window}
+    above = {m: -sum(exponent(mono, i, k) for k in window if k > m) for m in window}
     phi = max(0, max(below.values()))
     eps = max(0, max(above.values()))
     n_f = min(m for m in window if below[m] == phi)
@@ -60,7 +60,7 @@ def test_weight_of_examples():
     rng = random.Random(20261021)
     for _ in range(500):
         n = rng.randint(2, 5)
-        mono = Monomial.from_factors(n, random_factors(rng, n))
+        mono = from_factors(n, random_factors(rng, n))
         sums = [sum(e for j, _, e in mono.sort_key() if j == i) for i in range(1, n + 1)]
         weight = mono.weight()
         assert weight == Weight(sums) and hash(weight) == hash(Weight(sums))
@@ -110,7 +110,7 @@ def test_string_stats_match_naive_definition_on_random_monomials():
             (rng.randint(1, n), rng.randint(-3, 5), rng.choice((-2, -1, 1, 2)))
             for _ in range(rng.randint(0, 8))
         ]
-        assert_string_stats_match_naive(Monomial.from_factors(n, factors))
+        assert_string_stats_match_naive(from_factors(n, factors))
 
 
 def test_string_stats_index_range():
@@ -182,7 +182,7 @@ def test_multiply_rank_mismatch():
 def test_division_and_inverse():
     a = Y(2, (1, 2, 1), (2, 1, -1))
     assert a / a == Monomial.one(2)
-    assert a * a.inv() == Monomial.one(2)
+    assert a * inv(a) == Monomial.one(2)
 
 
 # -- X-variables -------------------------------------------------------------------
@@ -275,7 +275,7 @@ def test_json_form_key_order():
 
 def test_canonical_equality():
     assert Y(2, (1, 1, 1), (1, 1, -1)) == Monomial.one(2)
-    assert Monomial.from_factors(2, [(1, 1, 1), (1, 1, 1)]) == Y(2, (1, 1, 2))
+    assert from_factors(2, [(1, 1, 1), (1, 1, 1)]) == Y(2, (1, 1, 2))
 
 
 def test_exponent_row_bounds():
@@ -289,10 +289,10 @@ def test_non_integer_shifts_and_exponents_are_rejected():
     with pytest.raises(ValueError, match=r"Y_1\(1\)\^1\.9"):
         Monomial(2, {(1, 1): 1.9})
     with pytest.raises(ValueError, match=r"Y_2\(0\.5\)\^1"):
-        Monomial.from_factors(2, [(2, 0.5, 1)])
+        from_factors(2, [(2, 0.5, 1)])
     # exponents summing to a whole float are still not integers
     with pytest.raises(ValueError, match=r"Y_1\(1\)\^1\.0"):
-        Monomial.from_factors(2, [(1, 1, 0.5), (1, 1, 0.5)])
+        from_factors(2, [(1, 1, 0.5), (1, 1, 0.5)])
     with pytest.raises(ValueError, match=r"Y_1\(1\.5\)\^1"):
         Monomial.generator(2, 1, 1.5)
     with pytest.raises(ValueError, match=r"Y_1\(1\)\^2\.5"):
@@ -359,7 +359,7 @@ def test_operations_match_a_counter_reference_on_random_monomials():
         for counter, factors in ((ca, fa), (cb, fb)):
             for i, m, e in factors:
                 counter[(i, m)] += e
-        a, b = Monomial.from_factors(n, fa), Monomial.from_factors(n, fb)
+        a, b = from_factors(n, fa), from_factors(n, fb)
         assert_matches(a, ca)
 
         product, quotient = Counter(ca), Counter(ca)
@@ -374,7 +374,7 @@ def test_operations_match_a_counter_reference_on_random_monomials():
         shifts = [m for (_, m) in ca] or [0]
         for i in range(1, n + 1):
             for m in range(min(shifts) - 1, max(shifts) + 2):
-                assert a.exponent(i, m) == ca[(i, m)]
+                assert exponent(a, i, m) == ca[(i, m)]
             eps, phi, n_e, n_f = naive_string_stats(a, i)
             raised, lowered = Counter(ca), Counter(ca)
             raised.update(reference_root(n, i, n_e, 1) if eps else {})
@@ -393,7 +393,7 @@ def test_images_are_the_pair_of_e_and_f_on_random_monomials():
     rng = random.Random(20261019)
     for _ in range(2000):
         n = rng.randint(2, 5)
-        mono = Monomial.from_factors(n, random_factors(rng, n))
+        mono = from_factors(n, random_factors(rng, n))
         for i in range(1, n + 1):
             assert mono.images(i) == (mono.e(i), mono.f(i))
         for i in (0, n + 1):
@@ -409,7 +409,7 @@ def test_lowerings_are_epsilon_and_f_of_every_row_on_random_monomials():
     for _ in range(2000):
         n = rng.randint(2, 5)
         # random shifts span [-3, 4]; idents need shifts >= 1, and the shift commutes with f
-        mono = Monomial.from_factors(n, random_factors(rng, n)).shifted(4)
+        mono = from_factors(n, random_factors(rng, n)).shifted(4)
         assert mono.lowerings() == tuple(
             (mono.string_stats(i).epsilon, f.ident() if f else None)
             for i in range(1, n + 1) for f in [mono.images(i)[1]]
@@ -447,7 +447,7 @@ def test_cancellation_gives_the_canonical_one():
     for n, factors in [(2, [(1, 1, 1)]), (3, [(1, 0, 2), (2, 1, -1), (3, 1, 1)]),
                        (5, [(5, 4, -3), (1, -2, 1), (3, 3, 2), (3, 4, -1)])]:
         y = Y(n, *factors)
-        for one in (y * y.inv(), y / y, y.inv() * y):
+        for one in (y * inv(y), y / y, inv(y) * y):
             assert one == Monomial.one(n)
             assert hash(one) == hash(Monomial.one(n))
             assert one.to_json() == []
@@ -460,7 +460,7 @@ def test_cancellation_gives_the_canonical_one():
 def test_sorted_order_is_the_json_document_order():
     rng = random.Random(7)
     for n in range(2, 6):
-        sample = list({Monomial.from_factors(n, random_factors(rng, n)) for _ in range(300)})
+        sample = list({from_factors(n, random_factors(rng, n)) for _ in range(300)})
         assert sorted(sample) == sorted(sample, key=Monomial.to_json)
         assert [v.to_json() for v in sorted(sample)] == sorted(v.to_json() for v in sample)
     crystal = m_k_set(4, 2, 1)
@@ -471,9 +471,9 @@ def test_exponent_is_zero_at_absent_keys_on_boundaries():
     mono = Y(3, (1, 5, 1), (2, 0, -1), (2, 2, 3), (3, 2, 2))
     present = {(1, 5): 1, (2, 0): -1, (2, 2): 3, (3, 2): 2}
     for (i, m), e in present.items():
-        assert mono.exponent(i, m) == e
+        assert exponent(mono, i, m) == e
     # past the end of a row, between shifts, before and after the whole key
     for i, m in [(1, 4), (1, 6), (1, 0), (2, -1), (2, 1), (2, 3), (2, 5),
                  (3, 1), (3, 3), (1, -100), (3, 100)]:
-        assert mono.exponent(i, m) == 0
-    assert Monomial.one(3).exponent(1, 1) == 0
+        assert exponent(mono, i, m) == 0
+    assert exponent(Monomial.one(3), 1, 1) == 0

@@ -24,6 +24,7 @@ from cncrystal.products import (
     weight_to_pair,
 )
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
+from helpers import from_factors, monomial_products
 
 
 def test_fundamental_crystal_counts():
@@ -31,6 +32,13 @@ def test_fundamental_crystal_counts():
     for m in range(1, 5):
         assert len(fundamental_crystal(2, 1, m)) == 4
     assert len(fundamental_crystal(2, 2, 1)) == 5
+
+
+def test_fundamental_crystal_cache_answers_no_unvalidated_key():
+    # True == 1 hashes alike: a cached (2, 1, 1) must not answer (2, True, 1)
+    fundamental_crystal(2, 1, 1)
+    with pytest.raises(ValueError, match=r"^index k=True out of range \[1, 2\]$"):
+        fundamental_crystal(2, True, 1)
 
 
 def test_fundamental_crystal_translates():
@@ -52,7 +60,7 @@ def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():
     # the digit of Y_2(2) sits at (2 - 1) * 3 + 2 - 1 = 4
     assert Monomial.generator(3, 2, 2, 63).ident() == 63 << 32
     assert Monomial.generator(3, 2, 2, -64).ident() == -64 << 32
-    assert Monomial.from_factors(3, [(1, 1, 1), (3, 1, -2)]).ident() == 1 - (2 << 16)
+    assert from_factors(3, [(1, 1, 1), (3, 1, -2)]).ident() == 1 - (2 << 16)
 
 
 def test_packed_sums_count_the_monomial_products():
@@ -61,9 +69,9 @@ def test_packed_sums_count_the_monomial_products():
         left = [x.ident() << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p, 1)]
         right = [y.ident() for y in fundamental_crystal(3, q, 1)]
         sums = {x + y for x in left for y in right}
-        monomials = product_set(spec)
+        monomials = monomial_products(spec)
         assert len(sums) == len(monomials)
-        assert sums == {z.ident() for z in monomials}
+        assert sums == {z.ident() for z in monomials} == product_set(spec)
 
 
 def test_product_set_sizes_rank2():
@@ -75,11 +83,11 @@ def test_product_set_sizes_rank2():
     letters = fundamental_crystal(2, 1, 1)
     formed = [a * b for a in letters for b in letters]
     assert len(formed) == 16
-    assert set(formed) == set(product_set(ProductSpec(2, 1, 1, 1)))
+    assert {z.ident() for z in formed} == product_set(ProductSpec(2, 1, 1, 1))
 
 
 def test_product_set_is_closed():
-    elements = product_set(ProductSpec(3, 2, 2, 2))
+    elements = monomial_products(ProductSpec(3, 2, 2, 2))
     assert is_closed(elements)
 
 
@@ -113,7 +121,7 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
 
 
 def test_a_broken_decomposition_names_the_spec_and_the_phase(monkeypatch):
-    def broken(_products):
+    def broken(_products, _rank):
         raise CrystalInvariantError("components are not pairwise disjoint")
 
     spec = ProductSpec(2, 1, 1, 2)
@@ -130,8 +138,8 @@ def test_a_missing_factorization_names_the_spec(monkeypatch):
     for k, m in ((1, 2), (1, 1)):
         fundamental_crystal(2, k, m)  # cached now, so the shifted generator builds neither
     generator = Monomial.generator
-    # the check divides each witness by the left generator Y1(2); dividing by Y1(3) instead
-    # lands outside the right-hand crystal
+    # the check subtracts the ident of the left generator Y1(2) from each witness's; that of
+    # Y1(3) instead lands outside the right-hand crystal
     monkeypatch.setattr(Monomial, "generator", lambda n, k, m: generator(n, k, m + 1))
     with pytest.raises(CrystalInvariantError) as info:
         decompose_product_bruteforce(spec)

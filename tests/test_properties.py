@@ -3,10 +3,10 @@
 
 from collections import Counter
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cncrystal.graphs import decompose_set, generate_closure, is_closed
-from cncrystal.monomials import Monomial, m_k_set
+from cncrystal.monomials import Monomial, m_k_set, packed_rows, unpack
 from cncrystal.products import (
     ProductSpec,
     fundamental_crystal,
@@ -14,8 +14,8 @@ from cncrystal.products import (
     tensor_decomposition_closed_form,
     weight_of_pair,
 )
-from cncrystal.rootdata import simple_root
 from cncrystal.tableaux import tensor_highest_weights
+from helpers import from_factors, monomial_products, simple_root
 from tensor_reference import TensorPair
 
 
@@ -28,7 +28,34 @@ def monomials(draw):
             max_size=6,
         )
     )
-    return Monomial.from_factors(n, entries)
+    return from_factors(n, entries)
+
+
+# the field of one exponent in the packing, with its edges drawn often
+exponents = st.one_of(st.sampled_from([-64, -63, 62, 63]), st.integers(-64, 63))
+
+
+@st.composite
+def packable_monomials(draw):
+    n = draw(st.integers(2, 8))
+    entries = draw(st.dictionaries(
+        st.tuples(st.integers(1, n), st.integers(1, 12)), exponents, max_size=8))
+    return Monomial(n, entries)
+
+
+@given(packable_monomials())
+@example(Monomial(3, {(1, 1): -64, (3, 12): 63, (2, 5): -1}))
+def test_unpack_inverts_ident(x):
+    assert unpack(x.rank, x.ident()) == x
+
+
+@given(packable_monomials())
+def test_packed_rows_read_the_weight_and_lowerings(x):
+    ident = x.ident()
+    rows = packed_rows(x.rank, [ident])[ident]
+    assert tuple(wt for _, wt, _ in rows) == x.weight().coeffs
+    lowered = [(eps, None if off is None else ident + off) for eps, _, off in rows]
+    assert tuple(lowered) == x.lowerings()
 
 
 def chain_length(start, step):
@@ -145,10 +172,10 @@ def test_m_k_sets_are_the_fundamental_closures():
 def test_closure_of_effective_monomial_is_irreducible():
     # products of nonnegative powers of Y_i(m) are highest weight vectors
     seeds = [
-        Monomial.from_factors(2, [(1, 1, 2)]),
-        Monomial.from_factors(2, [(1, 1, 1), (2, 1, 1)]),
-        Monomial.from_factors(3, [(2, 2, 1), (3, 5, 1)]),
-        Monomial.from_factors(3, [(1, 1, 1), (1, 2, 1)]),
+        from_factors(2, [(1, 1, 2)]),
+        from_factors(2, [(1, 1, 1), (2, 1, 1)]),
+        from_factors(3, [(2, 2, 1), (3, 5, 1)]),
+        from_factors(3, [(1, 1, 1), (1, 2, 1)]),
     ]
     for seed in seeds:
         dec = decompose_set(generate_closure([seed]).vertices)
@@ -167,7 +194,7 @@ def test_tensor_components_match_monomial_components():
         dec = decompose_set(pairs)
         assert sum(c.size for c in dec) == len(left) * len(right)
         for comp in dec:
-            seed = Monomial.from_factors(
+            seed = from_factors(
                 n, [(i, 1, c) for i, c in enumerate(comp.weight.coeffs, 1) if c]
             )
             assert comp.size == len(generate_closure([seed]))
@@ -226,14 +253,15 @@ def test_highest_weight_products_factor_through_left_generator():
         for mono, factorizations in collected.items():
             if mono.is_highest_weight():
                 assert any(a == generator for a, _ in factorizations)
-        assert set(collected) == set(product_set(spec))
+        assert {mono.ident() for mono in collected} == product_set(spec)
 
 
 def test_cardinality_conservation():
     for spec in [ProductSpec(2, 1, 1, 2), ProductSpec(3, 2, 3, 3)]:
         elements = product_set(spec)
-        dec = decompose_set(elements)
+        dec = decompose_set(elements, spec.n)
         assert sum(c.size for c in dec) == len(elements)
+        assert decompose_set(monomial_products(spec)) == dec
 
 
 def test_zero_gap_region_descriptions_agree():
@@ -288,4 +316,4 @@ def test_tensor_oracle_agreement_small_ranks():
 ))
 def test_product_sets_closed_random_cells(cell):
     n, p, q, m = cell
-    assert is_closed(product_set(ProductSpec(n, p, q, m)))
+    assert is_closed(monomial_products(ProductSpec(n, p, q, m)))

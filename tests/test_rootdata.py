@@ -9,15 +9,14 @@ from cncrystal.monomials import m_k_set
 from cncrystal.products import fundamental_crystal
 from cncrystal.rootdata import (
     Weight,
-    cartan_entry,
     check_index,
     check_rank,
     letter_alphabet,
-    simple_root,
     weight_multiplicity,
     weyl_dimension,
 )
 from cncrystal.tableaux import column_crystal
+from helpers import cartan_entry, simple_root
 
 
 def test_cartan_entries_rank4():
