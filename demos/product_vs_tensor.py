@@ -14,6 +14,7 @@ from cncrystal import (
     decompose_product_bruteforce,
     decomposition_pairs,
     fundamental_crystal,
+    m_k_set,
     predicted_components,
     product_decomposition_closed_form,
     product_set,
@@ -25,7 +26,7 @@ print("== rank 2: product of two copies of the vector crystal ==")
 for m in (1, 2, 3):
     spec = ProductSpec(2, 1, 1, m)
     size = len(product_set(spec))
-    tensor_size = len(fundamental_crystal(2, 1, m)) * len(fundamental_crystal(2, 1, 1))
+    tensor_size = len(m_k_set(2, 1, m)) * len(fundamental_crystal(2, 1))
     decomposition = decompose_product_bruteforce(spec)
     summands = " + ".join(f"B({c.weight})[{c.size}]" for c in decomposition)
     print(f"  m={m}: |product| = {size:2d} (tensor has {tensor_size}),  {summands}")

@@ -101,7 +101,7 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
 
     The elements follow the protocol or, given their rank, are the packed idents of monomials
     that product_set forms: walked as ints, each read from its bytes (packed_rows), with only
-    witnesses and the elements an error names decoded (unpack).  One walk by decreasing height
+    witnesses and the suspects of an error decoded (unpack).  One walk by decreasing height
     2 sum_k (n+1-k) eps_k(wt), which every e(i) raises, ties in ident order, finds each edge
     once, as the ident of an f(i) image.  An element no parent lowered into is the witness of a
     new component; the others join their first parent's.  An image outside the set raises
@@ -125,10 +125,13 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
         lower = lambda x: [(eps, off and x + off) for eps, _, off in named[x]]
 
     def refuse(suspects, otherwise: str):  # an error path: name an e(i) image outside the set
-        members = set(map(decode, order))
         for v in map(decode, suspects):
             for i in range(1, rank + 1):
-                if (up := v.images(i)[0]) is not None and up not in members:
+                try:  # an image that does not pack is in no set walked here, whose members pack
+                    inside = (up := v.images(i)[0]) is None or up.ident() in index
+                except CrystalInvariantError:
+                    inside = False
+                if not inside:
                     raise ValueError(f"e_{i} of {v} leaves the set, not closed under e and f")
         raise CrystalInvariantError(otherwise)
 

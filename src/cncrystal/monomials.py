@@ -260,15 +260,12 @@ def _lowering_ident(n: int, i: int, m: int) -> int:  # A_i(m)**-1's, for a shift
 
 
 def unpack(n: int, ident: int) -> Monomial:
-    """Inverse of Monomial.ident() at rank n: each balanced base-256 digit is an exponent."""
+    """Inverse of Monomial.ident() at rank n, read from the bytes as packed_rows reads them."""
     check_rank(n)
-    key, pos = [], 0
-    while ident:
-        e = ((ident + 128) & 255) - 128
-        if e:
-            key.append((pos % n + 1, pos // n + 1, e))
-        ident, pos = (ident - e) >> 8, pos + 1
-    return Monomial._trusted(n, tuple(sorted(key)))
+    size = abs(ident).bit_length() // 8 + 1
+    b = (ident + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
+    return Monomial._trusted(n, tuple((i, s, d - 128) for i in range(1, n + 1)
+                                      for s, d in enumerate(b[i - 1::n], 1) if d != 128))
 
 
 def packed_rows(n: int, idents: Collection[int]) -> dict[int, list]:

@@ -61,21 +61,22 @@ class ProductSpec:
         check_positive(self.m, "m")
 
 
-@lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1, 1) must not answer (n, True, 1)
-def fundamental_crystal(n: int, k: int, m: int) -> tuple[Monomial, ...]:
-    """Connected component of Y_k(m): the monomial model of the k-th
+@lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1) must not answer (n, True)
+def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
+    """Connected component of Y_k(1): the monomial model of the k-th
     fundamental crystal, cross-checked against the X-word enumeration.
+    Its shift by m - 1 is M_k(m) = m_k_set(n, k, m); products shift its packed ints instead.
 
     A cache hit forms no new elements, so it needs no budget check.  A miss
     enumerates the X-words first: their C(2n, k) budget check refuses an
     over-budget length before the closure starts."""
     check_rank(n)
     check_index(n, k, "k")
-    words = m_k_set(n, k, m)
-    closure = tuple(sorted(generate_closure([Monomial.generator(n, k, m)]).vertices))
+    words = m_k_set(n, k, 1)
+    closure = tuple(sorted(generate_closure([Monomial.generator(n, k, 1)]).vertices))
     if closure != words:
         raise CrystalInvariantError(
-            f"closure of Y_{k}({m}) disagrees with the X-word enumeration at rank {n}"
+            f"closure of Y_{k}(1) disagrees with the X-word enumeration at rank {n}"
         )
     return closure  # the operators' images share key triples; the words' do not
 
@@ -84,12 +85,12 @@ def product_set(spec: ProductSpec) -> set[int]:
     """All entrywise products as packed ints, formed (and checked against the budget) on every
     call, building no monomial: {(x << 8n(m-1)) + y} over the idents x of M_p(1) and y of
     M_q(1).  decompose_set(products, spec.n) walks them and proves the set operator-closed."""
-    left = fundamental_crystal(spec.n, spec.p, 1)
-    right = fundamental_crystal(spec.n, spec.q, 1)
+    left = fundamental_crystal(spec.n, spec.p)
+    right = fundamental_crystal(spec.n, spec.q)
     check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
                  f"form {len(left)}*{len(right)} products")
     pairs = [([x.ident() for x in left], [y.ident() for y in right])]
-    return _distinct_products(pairs, 8 * spec.n * (spec.m - 1))
+    return _distinct_products(pairs, spec)
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
@@ -109,7 +110,7 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     except CrystalInvariantError as exc:
         raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
-    right = {y.ident() for y in fundamental_crystal(spec.n, spec.q, 1)}
+    right = {y.ident() for y in fundamental_crystal(spec.n, spec.q)}
     for component in components:
         if component.witness.ident() - left_hw.ident() not in right:
             raise CrystalInvariantError(
@@ -125,7 +126,7 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...
     in descending epsilon-lex order: the packed shift-1 factors, paired by weights adding to it."""
     left, right, table = {}, {}, []
     for classes, k in ((left, p), (right, q)):
-        for x in fundamental_crystal(n, k, 1):
+        for x in fundamental_crystal(n, k):
             classes.setdefault(x.weight().coeffs, []).append(x.ident())
     # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
     # with no negative partial sum of the difference and an even whole
@@ -142,7 +143,8 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...
     return tuple(table)
 
 
-def _distinct_products(pairs: list, shift: int) -> set[int]:  # each left factor shifted up
+def _distinct_products(pairs: list, spec: ProductSpec) -> set[int]:  # M_p(1)'s ints up to M_p(m)
+    shift = 8 * spec.n * (spec.m - 1)
     return {(x << shift) + y for lw, rw in pairs for x in lw for y in rw}
 
 
@@ -158,7 +160,7 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
     peeled, total, found = [], 0, 0
     for target, orbit, pairs in _weight_pairs(spec.n, spec.p, spec.q):
         check_budget(sum(len(lw) * len(rw) for lw, rw in pairs), f"{where} {target}")
-        count = len(_distinct_products(pairs, 8 * spec.n * (spec.m - 1)))
+        count = len(_distinct_products(pairs, spec))
         total += count * orbit
         copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)
         if copies < 0:
@@ -250,7 +252,7 @@ def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
     # refused before the first cell: the cells, then the largest crystal,
     check_budget(m_max * sum(n * n for n in range(2, n_max + 1)), f"verify --m-max {m_max}: cells")
     try:  # which needs no budget when it is cached, as in fundamental_crystal
-        fundamental_crystal(n_max, n_max, 1)
+        fundamental_crystal(n_max, n_max)
     except VertexBudgetExceeded as exc:
         raise VertexBudgetExceeded(f"verify --n-max {n_max}: {exc}") from None
     cells = []

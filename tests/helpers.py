@@ -4,7 +4,7 @@ simple roots, and product sets formed as monomials rather than packed integers."
 
 from bisect import bisect_left
 
-from cncrystal.monomials import Monomial, _check_shift, _root_triples
+from cncrystal.monomials import Monomial, _check_shift, _root_triples, m_k_set
 from cncrystal.products import fundamental_crystal
 from cncrystal.rootdata import Weight, check_index, check_rank
 
@@ -66,6 +66,6 @@ def simple_root(n, i):
 
 def monomial_products(spec):
     """The product set of spec as monomials a*b, each factor built at its own shift."""
-    left = fundamental_crystal(spec.n, spec.p, spec.m)
-    right = fundamental_crystal(spec.n, spec.q, 1)
+    left = m_k_set(spec.n, spec.p, spec.m)
+    right = fundamental_crystal(spec.n, spec.q)
     return {a * b for a in left for b in right}

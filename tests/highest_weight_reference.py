@@ -25,7 +25,7 @@ def decompose_product_highest_weights(spec: ProductSpec) -> tuple[Component, ...
     total = len(product_set(spec))
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
     comps = []
-    for b in fundamental_crystal(spec.n, spec.q, 1):
+    for b in fundamental_crystal(spec.n, spec.q):
         candidate = left_hw * b
         if not candidate.is_highest_weight():
             continue

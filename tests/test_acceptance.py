@@ -281,7 +281,7 @@ def test_criterion_6_property_suites():
     for n in range(2, 5):
         for k in range(1, n + 1):
             for base in (1, 2):
-                for mono in fundamental_crystal(n, k, base):
+                for mono in m_k_set(n, k, base):
                     check_element_properties(mono)
                     checked += 1
     rng = random.Random(20240822)
@@ -296,7 +296,7 @@ def test_criterion_6_property_suites():
                 for m in (1, 2, 4):
                     assert is_closed(monomial_products(ProductSpec(n, p, q, m)))
     for n, triple in [(2, ((1, 2), (2, 1), (1, 1))), (3, ((2, 2), (3, 1), (1, 3)))]:
-        sets = [fundamental_crystal(n, k, m) for k, m in triple]
+        sets = [m_k_set(n, k, m) for k, m in triple]
         assert is_closed({a * b * c for a in sets[0] for b in sets[1] for c in sets[2]})
 
     # left factor of any highest-weight product is the left generator
@@ -306,7 +306,7 @@ def test_criterion_6_property_suites():
                 for m in (1, 2, 3):
                     spec = ProductSpec(n, p, q, m)
                     generator = Monomial.generator(n, p, m)
-                    right = set(fundamental_crystal(n, q, 1))
+                    right = set(fundamental_crystal(n, q))
                     for comp in decompose_product_bruteforce(spec):
                         assert comp.witness / generator in right
 
@@ -315,8 +315,8 @@ def test_criterion_6_property_suites():
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 for m in (1, 2):
-                    left = fundamental_crystal(n, p, m)
-                    right = fundamental_crystal(n, q, m)
+                    left = m_k_set(n, p, m)
+                    right = m_k_set(n, q, m)
                     dec = decompose_set({a * b for a in left for b in right})
                     assert len(dec) == 1
                     assert dec[0].weight == weight_of_pair(

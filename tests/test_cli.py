@@ -206,13 +206,13 @@ def test_budget_refuses_a_verify_cell_before_its_products_are_formed(capsys, mon
     # times its negative.  4 is also the size of its factors, so they are
     # built (and cached) first, and only the products meet the budget.
     for k in (1, 2):
-        fundamental_crystal(2, k, 1)
+        fundamental_crystal(2, k)
     formed = []
     distinct_products = products._distinct_products
 
-    def counted(pairs, shift):
+    def counted(pairs, spec):
         formed.append(sum(len(lw) * len(rw) for lw, rw in pairs))
-        return distinct_products(pairs, shift)
+        return distinct_products(pairs, spec)
 
     monkeypatch.setattr(products, "_distinct_products", counted)
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "3")
@@ -344,6 +344,25 @@ def test_documents_are_byte_deterministic(capsys):
         second = run_cli(capsys, *argv)
         assert first[0] == second[0] == 0
         assert first[1] == second[1]
+
+
+def test_a_far_shift_is_decomposed_in_seconds(capsys):
+    # its packed products are over 8 * 2 * 99999 bits wide; unpack reads a witness in one pass
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "decompose-product", "--rank", "2", "--p", "1", "--q", "1", "--m", "100000"
+    )
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert out == (
+        "n=2 p=1 q=1 m=100000\n"
+        "bruteforce components=3 total=16\n"
+        "0 size=1 hw=Y1(3)^-1*Y1(100000)\n"
+        "Λ2 size=5 hw=Y1(2)^-1*Y1(100000)*Y2(1)\n"
+        "2Λ1 size=10 hw=Y1(1)*Y1(100000)\n"
+        "closed-form (0,0) (0,2) (1,1)\n"
+        "agreement=true\n"
+    )
 
 
 GOLDEN_DOCUMENTS = [

@@ -10,8 +10,8 @@ from cncrystal.graphs import (
     generate_closure,
     is_closed,
 )
-from cncrystal import monomials
-from cncrystal.monomials import Monomial, unpack
+from cncrystal import graphs, monomials
+from cncrystal.monomials import Monomial, m_k_set, unpack
 from cncrystal.products import ProductSpec, fundamental_crystal, product_set
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
@@ -122,14 +122,14 @@ def test_decompose_set_builds_each_f_edge_once(monkeypatch):
 def test_decompose_set_refuses_a_monomial_that_does_not_pack():
     lone = Monomial.generator(2, 1, 0)
     with pytest.raises(CrystalInvariantError, match=r"^Y1\(0\) does not pack: Y_1\(0\)\^1 is"):
-        decompose_set(set(fundamental_crystal(2, 1, 1)) | {lone})
+        decompose_set(set(fundamental_crystal(2, 1)) | {lone})
 
 
 def test_decompose_set_rejects_mixed_ranks():
     # Y_1(1) packs to 1 at every rank, so idents name elements only within one rank
     assert Monomial.generator(2, 1, 1).ident() == Monomial.generator(3, 1, 1).ident() == 1
     with pytest.raises(ValueError, match="^all elements must share one rank$"):
-        decompose_set(fundamental_crystal(2, 1, 1) + fundamental_crystal(3, 1, 1))
+        decompose_set(fundamental_crystal(2, 1) + fundamental_crystal(3, 1))
 
 
 def test_generate_closure_scans_each_string_once(monkeypatch):
@@ -147,10 +147,10 @@ def reference_sets():
                 for m in range(1, 2 * n + 2):
                     yield f"product {n} {p} {q} {m}", monomial_products(ProductSpec(n, p, q, m))
     for factors in ([(1, 1), (1, 2), (2, 1)], [(2, 3), (1, 1), (2, 1)], [(1, 3), (1, 2), (1, 1)]):
-        a, b, c = (fundamental_crystal(2, k, m) for k, m in factors)
+        a, b, c = (m_k_set(2, k, m) for k, m in factors)
         yield f"three-fold {factors}", {x * y * z for x in a for y in b for z in c}
     for n, p, q in [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 3)]:
-        left, right = fundamental_crystal(n, p, 1), fundamental_crystal(n, q, 2)
+        left, right = fundamental_crystal(n, p), m_k_set(n, q, 2)
         yield f"tensor {n} {p} {q}", {TensorPair(a, b) for a in left for b in right}
 
 
@@ -246,6 +246,33 @@ def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
     rows = {(i, tuple(t for t in unpack(3, x).sort_key() if t[0] == i))
             for x in packed for i in (1, 2, 3)}
     assert len(scans) == len(rows) < 3 * len(packed)
+
+
+def test_an_open_packed_set_decodes_only_its_suspect_and_the_witnesses_before(monkeypatch):
+    # each witness dropped in turn opens the set; the walk decodes the witnesses it meets
+    # first, then the one element whose e(i) image it finds missing from its ident index
+    spec = ProductSpec(4, 2, 3, 4)
+    packed = product_set(spec)
+    witnesses = [c.witness.ident() for c in decompose_set(packed, spec.n)]
+    decoded = []
+    monkeypatch.setattr(graphs, "unpack", lambda n, x: decoded.append(x) or unpack(n, x))
+    for dropped in witnesses:
+        decoded.clear()
+        with pytest.raises(ValueError, match="leaves the set, not closed") as info:
+            decompose_set(packed - {dropped}, spec.n)
+        *met, suspect = decoded
+        assert set(met) <= set(witnesses) - {dropped} and len(set(met)) == len(met)
+        assert suspect not in witnesses
+        assert f" of {unpack(spec.n, suspect)} leaves" in str(info.value)
+    assert len(packed) == 1288 and len(witnesses) == 4
+
+
+def test_an_e_image_that_does_not_pack_leaves_the_set():
+    # e_1 of Y1(1)^-1 multiplies by A_1(0), at shift 0: no set the walk accepts holds it
+    lone = Monomial.generator(2, 1, 1, -1)
+    for walk in (lambda: decompose_set({lone}), lambda: decompose_set({lone.ident()}, 2)):
+        with pytest.raises(ValueError, match=r"^e_1 of Y1\(1\)\^-1 leaves the set, not closed"):
+            walk()
 
 
 def test_decompose_product_set_rank2():

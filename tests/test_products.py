@@ -7,8 +7,8 @@ from highest_weight_reference import decompose_product_highest_weights
 
 from cncrystal import products
 from cncrystal.cli import main
-from cncrystal.graphs import CrystalInvariantError, is_closed
-from cncrystal.monomials import Monomial, m_k_set
+from cncrystal.graphs import CrystalInvariantError, generate_closure, is_closed
+from cncrystal.monomials import Monomial, m_k_set, unpack
 from cncrystal.products import (
     ProductSpec,
     predicted_components,
@@ -24,32 +24,37 @@ from cncrystal.products import (
     weight_to_pair,
 )
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
+from cncrystal.tableaux import tensor_highest_weights
 from helpers import from_factors, monomial_products
 
 
 def test_fundamental_crystal_counts():
-    assert len(fundamental_crystal(5, 3, 1)) == 110
+    assert len(fundamental_crystal(5, 3)) == 110
     for m in range(1, 5):
-        assert len(fundamental_crystal(2, 1, m)) == 4
-    assert len(fundamental_crystal(2, 2, 1)) == 5
+        assert len(m_k_set(2, 1, m)) == 4
+    assert len(fundamental_crystal(2, 2)) == 5
 
 
 def test_fundamental_crystal_cache_answers_no_unvalidated_key():
     # True == 1 hashes alike: a cached (2, 1, 1) must not answer (2, True, 1)
-    fundamental_crystal(2, 1, 1)
+    fundamental_crystal(2, 1)
     with pytest.raises(ValueError, match=r"^index k=True out of range \[1, 2\]$"):
-        fundamental_crystal(2, True, 1)
+        fundamental_crystal(2, True)
 
 
 def test_fundamental_crystal_translates():
-    # verify builds only the shift-1 crystals and translates their packed ints
+    # products and verify build only the shift-1 crystals and translate their packed ints; M_k(m)
+    # is the closure of Y_k(m), its X-words, the shifted crystal and the shifted ints alike
     for n in range(2, 6):
         for k in range(1, n + 1):
-            base = fundamental_crystal(n, k, 1)
+            base = fundamental_crystal(n, k)
             for m in range(1, 2 * n + 2):
-                assert fundamental_crystal(n, k, m) == tuple(sorted(x.shifted(m - 1) for x in base))
-                for x in base:
-                    assert x.shifted(m - 1).ident() == x.ident() << 8 * n * (m - 1)
+                closure = tuple(sorted(generate_closure([Monomial.generator(n, k, m)]).vertices))
+                assert closure == m_k_set(n, k, m), (n, k, m)
+                assert closure == tuple(sorted(x.shifted(m - 1) for x in base)), (n, k, m)
+                shifted = [x.ident() << 8 * n * (m - 1) for x in base]
+                assert closure == tuple(sorted(unpack(n, x) for x in shifted)), (n, k, m)
+                assert [x.shifted(m - 1).ident() for x in base] == shifted
 
 
 def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():
@@ -66,8 +71,8 @@ def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():
 def test_packed_sums_count_the_monomial_products():
     for p, q, m in ((1, 1, 1), (2, 3, 4), (3, 2, 5), (3, 3, 7)):
         spec = ProductSpec(3, p, q, m)
-        left = [x.ident() << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p, 1)]
-        right = [y.ident() for y in fundamental_crystal(3, q, 1)]
+        left = [x.ident() << 8 * 3 * (m - 1) for x in fundamental_crystal(3, p)]
+        right = [y.ident() for y in fundamental_crystal(3, q)]
         sums = {x + y for x in left for y in right}
         monomials = monomial_products(spec)
         assert len(sums) == len(monomials)
@@ -77,10 +82,10 @@ def test_packed_sums_count_the_monomial_products():
 def test_product_set_sizes_rank2():
     assert len(product_set(ProductSpec(2, 1, 1, 1))) == 10
     assert len(product_set(ProductSpec(2, 1, 1, 3))) == 16
-    tensor_size = len(fundamental_crystal(2, 1, 1)) ** 2
+    tensor_size = len(fundamental_crystal(2, 1)) ** 2
     assert len(product_set(ProductSpec(2, 1, 1, 1))) < tensor_size
     # the 4 * 4 products formed cover the 10-element set, so some collide
-    letters = fundamental_crystal(2, 1, 1)
+    letters = fundamental_crystal(2, 1)
     formed = [a * b for a in letters for b in letters]
     assert len(formed) == 16
     assert {z.ident() for z in formed} == product_set(ProductSpec(2, 1, 1, 1))
@@ -103,7 +108,7 @@ def test_bruteforce_left_factor_witnesses():
     spec = ProductSpec(3, 2, 3, 4)
     dec = decompose_product_bruteforce(spec)
     left = Monomial.generator(3, 2, 4)
-    right = set(fundamental_crystal(3, 3, 1))
+    right = set(fundamental_crystal(3, 3))
     for comp in dec:
         assert comp.witness / left in right
 
@@ -135,8 +140,7 @@ def test_a_broken_decomposition_names_the_spec_and_the_phase(monkeypatch):
 
 def test_a_missing_factorization_names_the_spec(monkeypatch):
     spec = ProductSpec(2, 1, 1, 2)
-    for k, m in ((1, 2), (1, 1)):
-        fundamental_crystal(2, k, m)  # cached now, so the shifted generator builds neither
+    fundamental_crystal(2, 1)  # cached now, so the shifted generator does not build it
     generator = Monomial.generator
     # the check subtracts the ident of the left generator Y1(2) from each witness's; that of
     # Y1(3) instead lands outside the right-hand crystal
@@ -192,21 +196,15 @@ def test_character_path_invariants_name_the_spec(monkeypatch):
 def test_verify_forms_no_product_set_and_applies_no_operator(monkeypatch):
     # the shift-1 fundamental crystals are built (by closure, with e and f, and
     # checked against their X-words) beforehand; verify then only packs, weighs
-    # and adds what the cache holds, and builds no crystal at another shift
+    # and adds what the cache holds
     for n in range(2, 4):
         for k in range(1, n + 1):
-            fundamental_crystal(n, k, 1)
-    cached = products.fundamental_crystal
+            fundamental_crystal(n, k)
 
     def forbidden(*args):
         raise AssertionError("verify called a forbidden function")
 
-    def shift_one(n, k, m):
-        assert m == 1, f"verify built the length-{k} crystal at shift {m}, rank {n}"
-        return cached(n, k, m)
-
     monkeypatch.setattr(products, "product_set", forbidden)
-    monkeypatch.setattr(products, "fundamental_crystal", shift_one)
     for name in ("e", "f", "string_stats", "lowerings", "__mul__"):
         monkeypatch.setattr(Monomial, name, forbidden)
     cells = verify_range(3, 2)
@@ -231,7 +229,7 @@ def test_a_missed_highest_weight_breaks_conservation(monkeypatch):
 
 def test_products_are_refused_over_budget_before_any_is_formed(monkeypatch):
     # each factor has 6 elements, so 36 products would be formed
-    assert len(fundamental_crystal(3, 1, 2)) == len(fundamental_crystal(3, 1, 1)) == 6
+    assert len(m_k_set(3, 1, 2)) == len(fundamental_crystal(3, 1)) == 6
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "35")
 
     def no_products(a, b):
@@ -266,7 +264,7 @@ def test_a_fundamental_crystal_is_refused_over_budget_before_its_closure(monkeyp
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "119")
     message = r"length 3 at rank 5 walks C\(10, 3\) X-words: 120 exceeds the vertex budget 119"
     with pytest.raises(VertexBudgetExceeded, match=message):
-        fundamental_crystal.__wrapped__(5, 3, 1)  # uncached
+        fundamental_crystal.__wrapped__(5, 3)  # uncached
 
 
 def test_tensor_closed_form_examples():
@@ -383,6 +381,53 @@ def test_weight_pair_roundtrip():
     for coeffs in ((3, 0), (1, -1), (2, 1), (0, 0, 3)):
         with pytest.raises(ValueError, match="is not a sum of two fundamental weights"):
             weight_to_pair(Weight(coeffs))
+
+
+# -- every shift from a finite range -----------------------------------------------
+
+
+def test_fundamental_crystals_lie_in_shifts_1_to_n_plus_1():
+    # so M_p(m) lies in shifts [m, m + n], apart from M_q(1) once m >= n + 2, where a product
+    # a*b names its factors; and every threshold is reached by then, at most at n + 1
+    for n in range(2, 9):
+        for k in range(1, n + 1):
+            shifts = {s for x in fundamental_crystal(n, k) for _, s, _ in x.sort_key()}
+            assert min(shifts) >= 1 and max(shifts) <= n + 1, (n, k)
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                assert max(predicted_components(n, p, q).values()) <= n + 1, (n, p, q)
+
+
+def test_the_closed_form_matches_the_column_oracle_at_ranks_5_to_7():
+    # criterion 4 compares them at ranks 2-4, and CI at rank 8
+    for n in range(5, 8):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                oracle = Counter(w.coeffs for _, _, w in tensor_highest_weights(n, p, q))
+                predicted = Counter(
+                    weight_of_pair(n, a, c).coeffs for a, c in predicted_components(n, p, q)
+                )
+                assert oracle == predicted, (n, p, q)
+
+
+def test_each_threshold_is_where_the_products_of_its_weight_stop_colliding():
+    # of weight L_a + L_c, the distinct products number sum |L| * |R| over the paired weight
+    # classes from the threshold of (a, c) through n + 2, and fewer below it: a witness of the
+    # threshold that needs neither Freudenthal multiplicities nor a peel
+    constituents = 0
+    for n in range(2, 7):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                classes = {t.coeffs: pairs for t, _, pairs in products._weight_pairs(n, p, q)}
+                for (a, c), threshold in predicted_components(n, p, q).items():
+                    pairs = classes[weight_of_pair(n, a, c).coeffs]
+                    formed = sum(len(lw) * len(rw) for lw, rw in pairs)
+                    for m in range(1, n + 3):
+                        spec = ProductSpec(n, p, q, m)
+                        distinct = len(products._distinct_products(pairs, spec))
+                        assert distinct <= formed and (distinct == formed) == (m >= threshold), spec
+                    constituents += 1
+    assert constituents == 411
 
 
 # -- lengths above n ----------------------------------------------------------------

@@ -134,7 +134,7 @@ def all_fundamental_elements(max_rank=4):
     for n in range(2, max_rank + 1):
         for k in range(1, n + 1):
             for m in (1, 3):
-                yield from fundamental_crystal(n, k, m)
+                yield from m_k_set(n, k, m)
 
 
 def test_operator_invariants_fundamental_sweep():
@@ -188,8 +188,8 @@ def test_tensor_components_match_monomial_components():
     # of the same size as the monomial component of equal highest weight
     cases = [(2, 1, 1), (2, 2, 1), (3, 1, 2), (3, 2, 2)]
     for n, p, q in cases:
-        left = fundamental_crystal(n, p, 1)
-        right = fundamental_crystal(n, q, 1)
+        left = fundamental_crystal(n, p)
+        right = fundamental_crystal(n, q)
         pairs = [TensorPair(a, b) for a in left for b in right]
         dec = decompose_set(pairs)
         assert sum(c.size for c in dec) == len(left) * len(right)
@@ -219,7 +219,7 @@ def test_three_fold_products_are_closed():
         (3, [(2, 2), (2, 1), (1, 3)]),
     ]
     for n, factors in cases:
-        sets = [fundamental_crystal(n, k, m) for k, m in factors]
+        sets = [m_k_set(n, k, m) for k, m in factors]
         products = {a * b * c for a in sets[0] for b in sets[1] for c in sets[2]}
         assert is_closed(products)
 
@@ -229,8 +229,8 @@ def test_equal_shift_products_are_connected():
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 for m in (1, 2):
-                    left = fundamental_crystal(n, p, m)
-                    right = fundamental_crystal(n, q, m)
+                    left = m_k_set(n, p, m)
+                    right = m_k_set(n, q, m)
                     dec = decompose_set({a * b for a in left for b in right})
                     assert len(dec) == 1
                     assert dec[0].weight == weight_of_pair(
@@ -243,8 +243,8 @@ def test_highest_weight_products_factor_through_left_generator():
     # include one whose left factor is the generator Y_p(m)
     for n, p, q, m in [(2, 1, 1, 3), (2, 2, 1, 2), (3, 2, 2, 4), (3, 3, 1, 2)]:
         spec = ProductSpec(n, p, q, m)
-        left = fundamental_crystal(n, p, m)
-        right = fundamental_crystal(n, q, 1)
+        left = m_k_set(n, p, m)
+        right = fundamental_crystal(n, q)
         generator = Monomial.generator(n, p, m)
         collected: dict = {}
         for a in left:

@@ -139,7 +139,7 @@ def test_weyl_dimension_of_fundamental_weights():
         for k in range(1, n + 1):
             expected = comb(2 * n, k) - (comb(2 * n, k - 2) if k >= 2 else 0)
             dimension = weyl_dimension(Weight.fundamental(n, k))
-            assert dimension == expected == len(fundamental_crystal(n, k, 1))
+            assert dimension == expected == len(fundamental_crystal(n, k))
 
 
 def test_weyl_dimension_of_the_zero_weight_is_one():
