@@ -17,27 +17,14 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from operator import itemgetter, mul
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .monomials import packed_rows, unpack
 from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, vertex_budget
 
 
-class CrystalGraph:
-    """Finite crystal graph: ordered vertices plus i-labeled lowering edges."""
-
-    __slots__ = ("rank", "vertices", "edges")
-
-    def __init__(self, rank: int, vertices: Sequence, edges: Sequence[tuple[int, int, int]]):
-        self.rank = rank
-        self.vertices = tuple(vertices)
-        self.edges = tuple(edges)
-
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    def __repr__(self) -> str:
-        return f"<CrystalGraph {len(self.vertices)} vertices, {len(self.edges)} edges>"
+# A finite crystal graph: vertices in discovery order, (source, i, target) lowering edges.
+CrystalGraph = namedtuple("CrystalGraph", "vertices edges")
 
 
 def generate_closure(seeds: Iterable) -> CrystalGraph:
@@ -76,7 +63,7 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
                 if down not in index:
                     add(down)
                 edges.append((vi, i, index[down]))
-    return CrystalGraph(rank, order, edges)
+    return CrystalGraph(tuple(order), tuple(edges))
 
 
 def is_closed(elements: Iterable) -> bool:

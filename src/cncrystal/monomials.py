@@ -136,11 +136,6 @@ class Monomial:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
         return self._merge((i, m, -e) for i, m, e in other._key)
 
-    def shifted(self, a: int) -> "Monomial":
-        """Translate every shift by a; commutes with the crystal operators."""
-        _check_shift(a, "a")
-        return Monomial._trusted(self.rank, tuple((i, m + a, e) for i, m, e in self._key))
-
     # -- crystal structure ---------------------------------------------------
 
     def weight(self) -> Weight:

@@ -201,11 +201,7 @@ def predicted_components(n: int, p: int, q: int) -> dict[tuple[int, int], int]:
                 table[a, c] = 1
             elif gap == 0:
                 table[a, c] = q - a + 1
-            elif (q - p - a - c) % 2:  # an even gap makes the halving below exact
-                raise CrystalInvariantError(
-                    f"odd threshold numerator for (a,c)=({a},{c}) in ({n},{p},{q})"
-                )
-            else:
+            else:  # q - p - a - c = gap - 2p is even, so the halving is exact
                 table[a, c] = (q - p - a - c + 2) // 2 + n
     return table
 

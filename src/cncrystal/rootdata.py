@@ -148,11 +148,6 @@ class Weight:
             out[j] = running
         return tuple(out)
 
-    def pairing(self, i: int) -> int:
-        """Coroot pairing <h_i, self>."""
-        check_index(self.rank, i)
-        return self.coeffs[i - 1]
-
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
 

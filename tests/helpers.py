@@ -1,5 +1,5 @@
 """Names only the tests call, kept out of the library: monomials built from
-factors, their exponents, support and inverse, root monomials, Cartan entries,
+factors, their exponents, support, inverse and shift, root monomials, Cartan entries,
 simple roots, and product sets formed as monomials rather than packed integers."""
 
 from bisect import bisect_left
@@ -29,6 +29,12 @@ def support(mono):
 
 def inv(mono):
     return Monomial._trusted(mono.rank, tuple((i, m, -e) for i, m, e in mono.sort_key()))
+
+
+def shifted(mono, a):
+    """Translate every shift of mono by a; commutes with the crystal operators."""
+    _check_shift(a, "a")
+    return Monomial._trusted(mono.rank, tuple((i, m + a, e) for i, m, e in mono.sort_key()))
 
 
 def root_monomial(n, i, m):

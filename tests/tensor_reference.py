@@ -28,13 +28,13 @@ class TensorPair:
     def epsilon(self, i: int) -> int:
         return max(
             self.left.epsilon(i),
-            self.right.epsilon(i) - self.left.weight().pairing(i),
+            self.right.epsilon(i) - self.left.weight().coeffs[i - 1],
         )
 
     def phi(self, i: int) -> int:
         return max(
             self.right.phi(i),
-            self.left.phi(i) + self.right.weight().pairing(i),
+            self.left.phi(i) + self.right.weight().coeffs[i - 1],
         )
 
     def e(self, i: int) -> "TensorPair | None":

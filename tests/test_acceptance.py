@@ -23,6 +23,7 @@ from cncrystal.products import (
     weight_of_pair,
 )
 from cncrystal.tableaux import tensor_highest_weights
+import helpers
 from helpers import from_factors, monomial_products, simple_root
 
 
@@ -246,10 +247,10 @@ def random_monomial(rng):
 def check_element_properties(m):
     n = m.rank
     w = m.weight()
-    shifted = m.shifted(2)
+    shifted = helpers.shifted(m, 2)
     for i in range(1, n + 1):
         stats = m.string_stats(i)
-        assert stats.phi == stats.epsilon + w.pairing(i)
+        assert stats.phi == stats.epsilon + w.coeffs[i - 1]
         up, down = m.e(i), m.f(i)
         if down is not None:
             assert down.e(i) == m
@@ -270,9 +271,9 @@ def check_element_properties(m):
         s1 = shifted.string_stats(i)
         assert (s1.epsilon, s1.phi) == (stats.epsilon, stats.phi)
         if up is not None:
-            assert shifted.e(i) == up.shifted(2)
+            assert shifted.e(i) == helpers.shifted(up, 2)
         if down is not None:
-            assert shifted.f(i) == down.shifted(2)
+            assert shifted.f(i) == helpers.shifted(down, 2)
 
 
 def test_criterion_6_property_suites():

@@ -20,7 +20,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 def test_readme_library_quick_start():
     graph = generate_closure([Monomial.generator(2, 1, 1)])
-    assert len(graph) == 4
+    assert len(graph.vertices) == 4
     spec = ProductSpec(n=5, p=3, q=3, m=2)
     decomposition = decompose_product_bruteforce(spec)
     assert [c.size for c in decomposition] == [4004, 5005]

@@ -22,7 +22,7 @@ from helpers import monomial_products
 
 def test_closure_rank2_path():
     g = generate_closure([Monomial.generator(2, 1, 1)])
-    assert len(g) == 4
+    assert len(g.vertices) == 4
     assert [i for _, i, _ in g.edges] == [1, 2, 1]
     # path shape: every vertex has at most one outgoing and one incoming edge
     outs = [src for src, _, _ in g.edges]
@@ -32,13 +32,23 @@ def test_closure_rank2_path():
 
 def test_closure_110_vertices():
     g = generate_closure([Monomial.generator(5, 3, 1)])
-    assert len(g) == 110
+    assert len(g.vertices) == 110
 
 
 def test_closure_of_identity_monomial():
     g = generate_closure([Monomial.one(3)])
-    assert len(g) == 1
+    assert len(g.vertices) == 1
     assert g.edges == ()
+
+
+def test_closure_from_any_element_is_its_fundamental_crystal():
+    # a seed below the highest weight reaches the top through its e(i) images
+    for n in (2, 3):
+        for k in range(1, n + 1):
+            crystal = fundamental_crystal(n, k)
+            for x in crystal:
+                vertices = generate_closure([x]).vertices
+                assert vertices[0] == x and tuple(sorted(vertices)) == crystal, (n, k, x)
 
 
 def test_closure_budget(monkeypatch):
@@ -62,6 +72,7 @@ def test_is_closed():
     full = generate_closure([Monomial.generator(2, 2, 1)]).vertices
     assert is_closed(full)
     assert not is_closed(full[:3])
+    assert not is_closed({Monomial.generator(2, 1, 1)})  # highest weight: only its f(1) image leaves
 
 
 # -- decomposition -----------------------------------------------------------------
@@ -135,7 +146,7 @@ def test_decompose_set_rejects_mixed_ranks():
 def test_generate_closure_scans_each_string_once(monkeypatch):
     calls = count_calls(monkeypatch, "string_stats")
     graph = generate_closure([Monomial.generator(4, 3, 1)])
-    assert len(graph) * 4 == len(calls) == 192
+    assert len(graph.vertices) * 4 == len(calls) == 192
 
 
 def reference_sets():
@@ -470,10 +481,10 @@ def test_tensor_statistics_formulas():
             pair = TensorPair(a, b)
             for i in (1, 2):
                 assert pair.epsilon(i) == max(
-                    a.epsilon(i), b.epsilon(i) - a.weight().pairing(i)
+                    a.epsilon(i), b.epsilon(i) - a.weight().coeffs[i - 1]
                 )
                 assert pair.phi(i) == max(
-                    b.phi(i), a.phi(i) + b.weight().pairing(i)
+                    b.phi(i), a.phi(i) + b.weight().coeffs[i - 1]
                 )
                 assert pair.weight() == a.weight() + b.weight()
 
@@ -497,7 +508,7 @@ def test_export_path_dot(capsys):
 def test_export_json_roundtrip(capsys):
     g = generate_closure([Monomial.generator(2, 2, 1)])
     doc = json.loads(graph_document(capsys, 2, 2, "json"))
-    assert len(doc["vertices"]) == len(g)
+    assert len(doc["vertices"]) == len(g.vertices)
     assert doc["edges"] == [list(edge) for edge in g.edges]
     assert doc["vertices"][0] == "Y2(1)"
 

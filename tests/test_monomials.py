@@ -12,6 +12,7 @@ from cncrystal.monomials import (
     x_monomial,
 )
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
+import helpers
 from helpers import exponent, from_factors, inv, root_monomial, support
 
 
@@ -177,6 +178,12 @@ def test_multiply_cancels_and_has_identity():
 def test_multiply_rank_mismatch():
     with pytest.raises(ValueError):
         Y(2, (1, 1, 1)) * Y(3, (1, 1, 1))
+    with pytest.raises(ValueError, match="^rank mismatch: 2 vs 3$"):
+        Y(2, (1, 1, 1)) / Y(3, (1, 1, 1))
+    with pytest.raises(TypeError):
+        Y(2, (1, 1, 1)) * 3
+    with pytest.raises(TypeError):
+        Y(2, (1, 1, 1)) / "x"
 
 
 def test_division_and_inverse():
@@ -313,7 +320,7 @@ def test_non_integer_shifts_and_exponents_are_rejected():
     with pytest.raises(ValueError, match=r"shift letter\.shift=0\.5 must be an integer"):
         x_monomial(2, XLetter(1, 0.5))
     with pytest.raises(ValueError, match=r"shift a=0\.5 must be an integer"):
-        Monomial.generator(2, 1, 1).shifted(0.5)
+        helpers.shifted(Monomial.generator(2, 1, 1), 0.5)
     with pytest.raises(ValueError, match=r"shift m=0\.5 must be an integer"):
         root_monomial(2, 1, 0.5)
     assert Monomial.generator(2, 1, 1, 0) == Monomial.one(2)
@@ -369,7 +376,7 @@ def test_operations_match_a_counter_reference_on_random_monomials():
         assert_matches(a / b, quotient)
 
         shift = rng.randint(-4, 4)
-        assert_matches(a.shifted(shift), {(i, m + shift): e for (i, m), e in ca.items()})
+        assert_matches(helpers.shifted(a, shift), {(i, m + shift): e for (i, m), e in ca.items()})
 
         shifts = [m for (_, m) in ca] or [0]
         for i in range(1, n + 1):
@@ -409,7 +416,7 @@ def test_lowerings_are_epsilon_and_f_of_every_row_on_random_monomials():
     for _ in range(2000):
         n = rng.randint(2, 5)
         # random shifts span [-3, 4]; idents need shifts >= 1, and the shift commutes with f
-        mono = from_factors(n, random_factors(rng, n)).shifted(4)
+        mono = helpers.shifted(from_factors(n, random_factors(rng, n)), 4)
         assert mono.lowerings() == tuple(
             (mono.string_stats(i).epsilon, f.ident() if f else None)
             for i in range(1, n + 1) for f in [mono.images(i)[1]]

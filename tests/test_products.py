@@ -25,6 +25,7 @@ from cncrystal.products import (
 )
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import tensor_highest_weights
+import helpers
 from helpers import from_factors, monomial_products
 
 
@@ -51,10 +52,24 @@ def test_fundamental_crystal_translates():
             for m in range(1, 2 * n + 2):
                 closure = tuple(sorted(generate_closure([Monomial.generator(n, k, m)]).vertices))
                 assert closure == m_k_set(n, k, m), (n, k, m)
-                assert closure == tuple(sorted(x.shifted(m - 1) for x in base)), (n, k, m)
+                assert closure == tuple(sorted(helpers.shifted(x, m - 1) for x in base)), (n, k, m)
                 shifted = [x.ident() << 8 * n * (m - 1) for x in base]
                 assert closure == tuple(sorted(unpack(n, x) for x in shifted)), (n, k, m)
-                assert [x.shifted(m - 1).ident() for x in base] == shifted
+                assert [helpers.shifted(x, m - 1).ident() for x in base] == shifted
+
+
+def test_a_closure_that_disagrees_with_the_x_words_is_an_invariant_error(monkeypatch, capsys):
+    # the X-word enumeration with one word dropped stands in for a closure gone wrong
+    monkeypatch.setattr(products, "m_k_set", lambda n, k, m: m_k_set(n, k, m)[:-1])
+    message = "closure of Y_1(1) disagrees with the X-word enumeration at rank 2"
+    fundamental_crystal.cache_clear()
+    try:
+        with pytest.raises(CrystalInvariantError, match=f"^{re.escape(message)}$"):
+            fundamental_crystal(2, 1)
+        assert main(["decompose-product", "--rank", "2", "--p", "1", "--q", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    finally:
+        fundamental_crystal.cache_clear()
 
 
 def test_packing_refuses_an_exponent_or_a_shift_outside_its_field():

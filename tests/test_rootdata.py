@@ -70,13 +70,13 @@ def test_pairing_against_cartan_columns():
         for i in range(1, n + 1):
             alpha = simple_root(n, i)
             for j in range(1, n + 1):
-                assert alpha.pairing(j) == cartan_entry(n, j, i)
+                assert alpha.coeffs[j - 1] == cartan_entry(n, j, i)
 
 
 def test_pairing_and_dominance():
     lam2 = Weight.fundamental(3, 2)
-    assert lam2.pairing(2) == 1
-    assert lam2.pairing(1) == 0
+    assert lam2.coeffs[1] == 1
+    assert lam2.coeffs[0] == 0
     assert not Weight((1, -1)).is_dominant()
     double = Weight.fundamental(5, 3) + Weight.fundamental(5, 3)
     assert double.coeffs == (0, 0, 2, 0, 0)
@@ -86,6 +86,8 @@ def test_pairing_and_dominance():
 def test_weight_arithmetic_rank_mismatch():
     with pytest.raises(ValueError):
         Weight((1, 0)) + Weight((1, 0, 0))
+    with pytest.raises(TypeError, match="^expected Weight, got tuple$"):
+        Weight((1, 0)) + (1, 0)
 
 
 def test_basis_convert_examples():

@@ -74,6 +74,8 @@ def test_column_rejects_non_integer_letters():
         Column(2, ["1"])
     with pytest.raises(ValueError, match="letter value True"):
         Column(2, [True])
+    with pytest.raises(ValueError, match="^a column needs at least one letter$"):
+        Column(2, ())
 
 
 def test_sort_key_is_the_tuple_of_letter_order_indices():
@@ -132,7 +134,7 @@ def test_column_matches_monomial_component_sizes():
         for length in range(1, n + 1):
             cols = column_crystal(n, length)
             closure = generate_closure([Monomial.generator(n, length, 1)])
-            assert len(cols) == len(closure)
+            assert len(cols) == len(closure.vertices)
 
 
 def test_column_images_are_the_pair_of_e_and_f():
