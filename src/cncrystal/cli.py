@@ -105,7 +105,7 @@ def _cmd_graph(args) -> tuple[int, list[str]]:
     if args.format == "json":
         return 0, [_json({"vertices": [str(v) for v in graph.vertices],
                           "edges": [list(edge) for edge in graph.edges]})]
-    # a label is Monomial.text(), which needs no DOT escaping
+    # a label is str(Monomial), which needs no DOT escaping
     return 0, [
         "digraph crystal {",
         *(f'  n{k} [label="{v}"];' for k, v in enumerate(graph.vertices)),
@@ -127,7 +127,7 @@ def _cmd_elements(args) -> tuple[int, list[str]]:
             "elements": [mon.to_json() for mon in elements],
         }
         return 0, [_json(doc)]
-    return 0, [f"n={n} k={k} m={m} count={len(elements)}", *(mon.text() for mon in elements)]
+    return 0, [f"n={n} k={k} m={m} count={len(elements)}", *map(str, elements)]
 
 
 def _cmd_decompose_tensor(args) -> tuple[int, list[str]]:
@@ -171,7 +171,7 @@ def _cmd_decompose_product(args) -> tuple[int, list[str]]:
         for comp in decomposition:
             a, c = weight_to_pair(comp.weight)
             components.append({"a": a, "c": c, "lambda": list(comp.weight.coeffs),
-                               "size": comp.size, "hw": comp.witness.text()})
+                               "size": comp.size, "hw": str(comp.witness)})
         doc = {"n": n, "p": p, "q": q, "m": m, "components": components,
                "closed_form": [list(x) for x in predicted], "agreement": agreement}
         lines = [_json(doc)]

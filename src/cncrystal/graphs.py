@@ -16,8 +16,8 @@ order are deterministic, and so is every document cncrystal.cli writes.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterable
 from operator import itemgetter, mul
-from typing import Iterable
 
 from .monomials import packed_rows, unpack
 from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, vertex_budget

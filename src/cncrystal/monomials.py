@@ -23,10 +23,9 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import namedtuple
-from dataclasses import dataclass
+from collections.abc import Collection, Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import comb, prod
-from typing import Collection, Iterable, Iterator, Mapping
 
 from .rootdata import (
     CrystalInvariantError,
@@ -185,13 +184,6 @@ class Monomial:
 
     # -- presentation ---------------------------------------------------------
 
-    def text(self) -> str:
-        if not self._key:
-            return "1"
-        return "*".join(
-            f"Y{i}({m})" if e == 1 else f"Y{i}({m})^{e}" for i, m, e in self._key
-        )
-
     def to_json(self) -> list[list[int]]:
         return [list(t) for t in self._key]
 
@@ -210,10 +202,14 @@ class Monomial:
         return self._key < other._key
 
     def __str__(self) -> str:
-        return self.text()
+        if not self._key:
+            return "1"
+        return "*".join(
+            f"Y{i}({m})" if e == 1 else f"Y{i}({m})^{e}" for i, m, e in self._key
+        )
 
     def __repr__(self) -> str:
-        return f"Monomial({self.rank}, {self.text()!r})"
+        return f"Monomial({self.rank}, {str(self)!r})"
 
 
 def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[tuple[int, int, int, int], int]:
@@ -288,12 +284,10 @@ def packed_rows(n: int, idents: Collection[int]) -> dict[int, list]:
 # -- X-variables and the fundamental sets M_k(m) -------------------------------
 
 
-@dataclass(frozen=True)
-class XLetter:
+class XLetter(namedtuple("XLetter", "value shift")):
     """One-letter building block X_v(shift), v signed: +i unbarred, -i barred."""
 
-    value: int
-    shift: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         v = self.value

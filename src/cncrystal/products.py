@@ -33,8 +33,7 @@ threshold is at most m.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -44,21 +43,18 @@ from .rootdata import Weight, check_budget, check_index, check_positive, check_r
 from .rootdata import VertexBudgetExceeded, weight_multiplicity, weyl_dimension
 
 
-@dataclass(frozen=True)
-class ProductSpec:
+class ProductSpec(namedtuple("ProductSpec", "n p q m")):
     """Parameters of the product of the length-p crystal at shift m with the
     length-q crystal at shift 1."""
 
-    n: int
-    p: int
-    q: int
-    m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        check_rank(self.n)
-        check_index(self.n, self.p, "p")
-        check_index(self.n, self.q, "q")
-        check_positive(self.m, "m")
+    def __new__(cls, n: int, p: int, q: int, m: int):
+        check_rank(n)
+        check_index(n, p, "p")
+        check_index(n, q, "q")
+        check_positive(m, "m")
+        return super().__new__(cls, n, p, q, m)
 
 
 @lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1) must not answer (n, True)

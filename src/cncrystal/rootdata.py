@@ -15,8 +15,8 @@ The vertex budget and the invariant error live here, in the module every layer i
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable
 from functools import lru_cache
-from typing import Iterable
 
 DEFAULT_VERTEX_BUDGET = 10**6
 

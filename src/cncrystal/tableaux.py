@@ -24,9 +24,9 @@ imports only the root data and never touches the monomial realization.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from functools import lru_cache
 from math import comb
-from typing import Iterable
 
 from .rootdata import (
     Weight,

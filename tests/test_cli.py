@@ -420,3 +420,13 @@ def test_console_entry_point_runs_in_subprocess():
         )
         runs.add(result.stdout)
     assert len(runs) == 1
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # -S keeps site hooks, such as a .pth that imports typing, out of the child
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import cncrystal.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    result = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"

@@ -73,6 +73,7 @@ def test_is_closed():
     assert is_closed(full)
     assert not is_closed(full[:3])
     assert not is_closed({Monomial.generator(2, 1, 1)})  # highest weight: only its f(1) image leaves
+    assert not is_closed({Monomial.generator(2, 1, 3, -1)})  # lowest weight: only its e(1) image leaves
 
 
 # -- decomposition -----------------------------------------------------------------

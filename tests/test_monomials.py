@@ -200,6 +200,8 @@ def test_x_monomial_examples():
     assert x_monomial(2, XLetter(-2, 1)) == Y(2, (1, 2, 1), (2, 2, -1))
     assert x_monomial(2, XLetter(-1, 1)) == Y(2, (1, 3, -1))
     assert x_monomial(3, XLetter(2, 4)) == Y(3, (2, 4, 1), (1, 5, -1))
+    assert str(XLetter(-2, 1)) == "X2̄(1)"
+    assert str(XLetter(1, 3)) == "X1(3)"
 
 
 def test_generator_is_consecutive_x_word():
@@ -269,10 +271,10 @@ def test_m_k_set_range_errors():
 
 
 def test_text_form():
-    assert Monomial.one(2).text() == "1"
+    assert str(Monomial.one(2)) == "1"
     m = Y(2, (2, 1, 1), (1, 2, -1))
-    assert m.text() == "Y1(2)^-1*Y2(1)"
-    assert Y(5, (3, 3, 2)).text() == "Y3(3)^2"
+    assert str(m) == "Y1(2)^-1*Y2(1)"
+    assert str(Y(5, (3, 3, 2))) == "Y3(3)^2"
 
 
 def test_json_form_key_order():
@@ -458,7 +460,7 @@ def test_cancellation_gives_the_canonical_one():
             assert one == Monomial.one(n)
             assert hash(one) == hash(Monomial.one(n))
             assert one.to_json() == []
-            assert one.text() == "1"
+            assert str(one) == "1"
     # a partial cancellation keeps the survivors in key order
     y = Y(3, (1, 1, 1), (2, 1, 1), (3, 1, 1))
     assert (y / Y(3, (2, 1, 1))).to_json() == [[1, 1, 1], [3, 1, 1]]

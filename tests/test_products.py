@@ -511,6 +511,10 @@ def test_spec_validation():
         ProductSpec(2, 1, 1, True)
     with pytest.raises(ValueError, match="m=1.0 must be an integer"):
         ProductSpec(2, 1, 1, 1.0)
+    assert ProductSpec(n=2, p=1, q=1, m=1) == ProductSpec(2, 1, 1, 1)
+    with pytest.raises(ValueError, match="rank must be an integer >= 2, got 1"):
+        ProductSpec(1, 1, 1, 1)
+    assert repr(ProductSpec(5, 3, 3, 2)) == "ProductSpec(n=5, p=3, q=3, m=2)"
     with pytest.raises(ValueError, match="m_max=True must be an integer"):
         verify_range(2, True)
     with pytest.raises(ValueError, match="m_max=1.5 must be an integer"):
