@@ -17,9 +17,10 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable
-from operator import itemgetter, mul
+from itertools import count, repeat
+from operator import itemgetter
 
-from .monomials import packed_rows, unpack
+from .monomials import height_scale, packed_rows, unpack
 from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, vertex_budget
 
 
@@ -86,68 +87,67 @@ Component = namedtuple("Component", "weight size witness")
 def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
-    The elements follow the protocol or, given their rank, are the packed idents of monomials
-    that product_set forms: walked as ints, each read from its bytes (packed_rows), with only
-    witnesses and the suspects of an error decoded (unpack).  One walk by decreasing height
-    2 sum_k (n+1-k) eps_k(wt), which every e(i) raises, ties in ident order, finds each edge
-    once, as the ident of an f(i) image.  An element no parent lowered into is the witness of a
-    new component; the others join their first parent's.  An image outside the set raises
-    ValueError naming the operator, row and element; the e(i) images, inverse to the f(i)
-    edges, are all in it exactly when as many eps(i) are positive as there are edges.  The
-    elements share one rank; monomials must pack (shifts >= 1, exponents in [-64, 64)), as
-    product sets, three-fold products and closures of Y_k(m >= 1) do.  CrystalInvariantError:
-    a witness is not highest weight or not dominant, or two share a component.  Components
-    are sorted by (weight.coeffs, size, sort_key)."""
+    Given their rank, the elements are packed idents, as product_set forms them, each its own
+    name: packed_rows reads their rows in ident order, and only witnesses and the suspects of
+    an error are decoded (unpack).  Protocol elements, named by their places in ident order,
+    fill the same row tuples from weight() and lowerings().  One walk by decreasing height, the
+    sum of a tuple's shares, ties in name order, finds each edge once, as an f(i) image.  An
+    element no parent lowered into is the witness of a new component; the others join their
+    first parent's.  An image outside the set raises ValueError naming the operator, row and
+    element; the e(i) images, inverse to the f(i) edges, are all in it exactly when as many
+    eps(i) are positive as there are edges.  The elements share one rank; monomials must pack
+    (shifts >= 1, exponents in [-64, 64)), as product sets, three-fold products and closures of
+    Y_k(m >= 1) do.  CrystalInvariantError: a witness is not highest weight or not dominant, or
+    two share a component.  Components are sorted by (weight.coeffs, size, sort_key)."""
     elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
-    if rank is None:  # protocol elements name themselves and read their own rows
+    if rank is None:  # protocol elements, named by their places x in ident order
         if len(ranks := {v.rank for v in elems}) > 1:  # idents of different ranks may coincide
             raise ValueError("all elements must share one rank")
-        rank, named = max(ranks, default=0), {v.ident(): v for v in elems}
-        decode = named.__getitem__
-        weigh = lambda x: named[x].weight().coeffs
-        lower = lambda x: named[x].lowerings()
-    else:  # rows of (eps_i, wt_i, ident offset of f_i: nonzero, or None)
-        named, decode = packed_rows(rank, elems), lambda x: unpack(rank, x)
-        weigh = lambda x: map(itemgetter(1), named[x])
-        lower = lambda x: [(eps, off and x + off) for eps, _, off in named[x]]
+        found, rank = sorted(elems, key=lambda v: v.ident()), max(ranks, default=0)
+        members, scale = {v.ident(): x for x, v in enumerate(found)}, height_scale(rank)
+        names, decode = range(len(found)), found.__getitem__
+        rows = [tuple((eps, wt, down if down is None else members.get(down, -1) - x, s * wt)
+                      for (eps, down), wt, s in zip(v.lowerings(), v.weight().coeffs, scale))
+                for x, v in enumerate(found)]  # an f(i) image outside the set is named -1
+    else:  # packed idents name themselves
+        names, members = sorted(elems), elems
+        rows, decode = packed_rows(rank, names), lambda x: unpack(rank, x)
 
     def refuse(suspects, otherwise: str):  # an error path: name an e(i) image outside the set
         for v in map(decode, suspects):
             for i in range(1, rank + 1):
                 try:  # an image that does not pack is in no set walked here, whose members pack
-                    inside = (up := v.images(i)[0]) is None or up.ident() in index
+                    inside = (up := v.images(i)[0]) is None or up.ident() in members
                 except CrystalInvariantError:
                     inside = False
                 if not inside:
                     raise ValueError(f"e_{i} of {v} leaves the set, not closed under e and f")
         raise CrystalInvariantError(otherwise)
 
-    scale = [k * (2 * rank + 1 - k) for k in range(1, rank + 1)]
-    height = {x: sum(map(mul, weigh(x), scale)) for x in named}
-    order = sorted(sorted(named), key=height.__getitem__, reverse=True)  # ties in ident order
-    index = {x: k for k, x in enumerate(order)}
-    owner: list = [None] * len(order)  # position in order -> component label
+    heights = list(map(sum, map(map, repeat(itemgetter(3)), rows)))
+    order = sorted(range(len(rows)), key=heights.__getitem__, reverse=True)  # ties in name order
+    index = dict(zip(map(names.__getitem__, order), count()))  # name -> place in the walk
+    owner: list = [None] * len(order)  # place in the walk -> component label
     tops, raised, edges = [], 0, 0  # (weight, witness) per component; e(i) images; f(i) edges
-    for k, x in enumerate(order):
-        lowered = lower(x)
+    for k, x, lowered in zip(count(), index, map(rows.__getitem__, order)):
         if (label := owner[k]) is None:
-            if any(eps for eps, _ in lowered):
+            if any(eps for eps, *_ in lowered):
                 refuse([x], "a component holds 0 highest-weight elements")
-            if not (weight := Weight(weigh(x))).is_dominant():
+            if not (weight := Weight(map(itemgetter(1), lowered))).is_dominant():
                 raise CrystalInvariantError(f"highest weight {weight} is not dominant")
             label = owner[k] = len(tops)
             tops.append((weight, decode(x)))
-        for i, (eps, down) in enumerate(lowered, 1):
+        for i, (eps, _, off, _) in enumerate(lowered, 1):
             raised += eps > 0
-            if down is not None:
-                if (j := index.get(down)) is None:
+            if off is not None:
+                if (j := index.get(x + off)) is None:
                     raise ValueError(f"f_{i} of {decode(x)} leaves the set, not closed under e and f")
                 edges += 1
                 if owner[j] not in (None, label):
                     raise CrystalInvariantError("a component holds 2 highest-weight elements")
                 owner[j] = label
     if raised != edges:
-        refuse(order, f"e and f are not partial inverses: {raised} e-images, {edges} f-edges")
+        refuse(index, f"e and f are not partial inverses: {raised} e-images, {edges} f-edges")
     sizes = Counter(owner)
     comps = (Component(weight, sizes[label], v) for label, (weight, v) in enumerate(tops))
     return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

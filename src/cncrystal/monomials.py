@@ -26,6 +26,7 @@ from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import comb, prod
+from operator import itemgetter
 
 from .rootdata import (
     CrystalInvariantError,
@@ -40,6 +41,7 @@ from .rootdata import (
 
 StringStats = namedtuple("StringStats", "epsilon phi n_e n_f")
 
+_BATCH = 256  # idents packed_rows reads at a time: their bytes live only while it reads them
 ExponentKey = tuple[int, int]  # (row index i, shift m)
 Triple = tuple[int, int, int]  # (row index i, shift m, exponent e)
 
@@ -259,25 +261,37 @@ def unpack(n: int, ident: int) -> Monomial:
                                       for s, d in enumerate(b[i - 1::n], 1) if d != 128))
 
 
-def packed_rows(n: int, idents: Collection[int]) -> dict[int, list]:
-    """Each packed ident of rank n -> per row i, the (eps_i, wt_i = phi_i - eps_i, ident
-    offset of f_i or None) of its monomial, building none.  Adding 0x8080...80 makes each
-    balanced digit a byte, digit + 128, with no carry, so row i is the slice [i-1::n] of the
-    bytes; _scan_row reads each distinct slice of a row once, and a dict answers it after."""
-    size = max((abs(x).bit_length() for x in idents), default=0) // 8 + 1
-    bias = int.from_bytes(b"\x80" * size, "little")
-    rows = [(i, slice(i - 1, None, n), {}) for i in range(1, n + 1)]  # row, bytes, seen slices
+def height_scale(n: int) -> list[int]:  # times wt_k, summed: 2(wt, rho), which each e(i) raises
+    return [k * (2 * n + 1 - k) for k in range(1, n + 1)]
 
-    def scan(i: int, seen: dict, digits: bytes) -> tuple:
-        key = tuple((i, s, d - 128) for s, d in enumerate(digits, 1) if d != 128)
-        eps, phi, _, n_f = _scan_row(key, 0, i)[0]
-        seen[digits] = row = (eps, phi - eps, _lowering_ident(n, i, n_f) if phi else None)
+
+class _RowReader(dict):
+    """Row i's records by the bytes of its slice (cut): _scan_row reads each on its first lookup."""
+
+    def __init__(self, n: int, i: int, scale: int):
+        self.n, self.i, self.scale, self.cut = n, i, scale, itemgetter(slice(i - 1, None, n))
+
+    def __missing__(self, digits: bytes) -> tuple:
+        key = tuple((self.i, s, d - 128) for s, d in enumerate(digits, 1) if d != 128)
+        eps, phi, _, n_f = _scan_row(key, 0, self.i)[0]
+        off = _lowering_ident(self.n, self.i, n_f) if phi else None
+        self[digits] = row = (eps, phi - eps, off, self.scale * (phi - eps))
         return row
 
-    out = {}
-    for x in idents:
-        b = (x + bias).to_bytes(size, "little")
-        out[x] = [seen.get(b[cut]) or scan(i, seen, b[cut]) for i, cut, seen in rows]
+
+def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
+    """Per packed ident of rank n, in input order, its n row records (eps_i, wt_i = phi_i - eps_i,
+    ident offset of f_i or None, height share scale_i * wt_i), building no monomial.  Adding
+    0x8080...80 makes each balanced digit a byte, digit + 128, with no carry, so row i is the
+    slice [i-1::n] of the bytes.  Each step per ident runs in C, on _BATCH idents at a time
+    whose bytes live only while they are cut: to_bytes, the cuts, the readers and the zip."""
+    size = max(map(int.bit_length, map(abs, idents)), default=0) // 8 + 1
+    bias, todo, out = int.from_bytes(b"\x80" * size, "little"), iter(idents), []
+    width = itertools.repeat(size), itertools.repeat("little")  # to_bytes' other arguments
+    rows = [_RowReader(n, i, s) for i, s in enumerate(height_scale(n), 1)]
+    while batch := list(itertools.islice(todo, _BATCH)):
+        digits = list(map(int.to_bytes, map(bias.__add__, batch), *width))
+        out += zip(*[map(row.__getitem__, map(row.cut, digits)) for row in rows])
     return out
 
 

@@ -220,9 +220,11 @@ def failure(walk, elements):
 def test_truncated_packed_sets_fail_as_the_monomial_walk_does():
     # walked in the same order (height, then ident), both name the same element
     opened = 0
-    for spec in packed_cells():
-        if spec.n > 3:
+    for spec in packed_cells():  # ranks 2-3, and rank 4 at m = 1 and m = 5
+        if spec.n > 4:
             break
+        if spec.n == 4 and spec.m not in (1, 5):
+            continue
         formed = monomial_products(spec)
         ordered = sorted(formed, key=lambda v: v.sort_key())
         top = max(decompose_set(formed), key=lambda c: c.size).witness
@@ -231,7 +233,21 @@ def test_truncated_packed_sets_fail_as_the_monomial_walk_does():
             found = failure(lambda s: decompose_set(s, spec.n), {x.ident() for x in truncated})
             assert found == failure(decompose_set, truncated), (spec, str(dropped))
             opened += found[0] is ValueError
-    assert opened == 83 + 80  # of the 83 sets, every top drop and 80 middle drops open it
+    # of the 83 sets of ranks 2-3, every top drop and 80 middle drops open it; of the 32 of
+    # rank 4, every drop does
+    assert opened == 83 + 80 + 2 * 32
+
+
+def test_elements_of_equal_height_are_walked_in_ident_order():
+    # dropping the witness Y1(1)*Y2(1) leaves several elements of equal height without a parent;
+    # both forms of the set name the one of least ident, as the walk takes it first
+    spec = ProductSpec(3, 1, 2, 1)
+    formed = monomial_products(spec) - {Monomial.generator(3, 1, 1) * Monomial.generator(3, 2, 1)}
+    message = r"^e_2 of Y1\(1\)\*Y1\(2\)\*Y2\(2\)\^-1\*Y3\(1\) leaves the set, not closed"
+    packed = {x.ident() for x in formed}
+    for walk in (lambda: decompose_set(formed), lambda: decompose_set(packed, spec.n)):
+        with pytest.raises(ValueError, match=message):
+            walk()
 
 
 def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
@@ -285,6 +301,10 @@ def test_an_e_image_that_does_not_pack_leaves_the_set():
     for walk in (lambda: decompose_set({lone}), lambda: decompose_set({lone.ident()}, 2)):
         with pytest.raises(ValueError, match=r"^e_1 of Y1\(1\)\^-1 leaves the set, not closed"):
             walk()
+
+
+def test_the_empty_set_has_no_components():
+    assert decompose_set(set()) == decompose_set(set(), 3) == ()
 
 
 def test_decompose_product_set_rank2():

@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from cncrystal.graphs import decompose_set, generate_closure, is_closed
-from cncrystal.monomials import Monomial, m_k_set, packed_rows, unpack
+from cncrystal.monomials import _BATCH, Monomial, height_scale, m_k_set, packed_rows, unpack
 from cncrystal.products import (
     ProductSpec,
     fundamental_crystal,
@@ -53,10 +53,22 @@ def test_unpack_inverts_ident(x):
 @given(packable_monomials())
 def test_packed_rows_read_the_weight_and_lowerings(x):
     ident = x.ident()
-    rows = packed_rows(x.rank, [ident])[ident]
-    assert tuple(wt for _, wt, _ in rows) == x.weight().coeffs
-    lowered = [(eps, None if off is None else ident + off) for eps, _, off in rows]
+    rows = packed_rows(x.rank, [ident])[0]
+    assert tuple(wt for _, wt, _, _ in rows) == x.weight().coeffs
+    lowered = [(eps, None if off is None else ident + off) for eps, _, off, _ in rows]
     assert tuple(lowered) == x.lowerings()
+    scale = height_scale(x.rank)
+    assert [share for *_, share in rows] == [s * wt for s, wt in zip(scale, x.weight().coeffs)]
+
+
+def test_packed_rows_read_many_idents_as_each_alone():
+    # more idents than one batch, in set order and of several byte lengths: the same rows,
+    # in input order, as reading each ident by itself
+    spec = ProductSpec(5, 4, 5, 5)
+    idents = list(product_set(spec))
+    assert idents != sorted(idents) and len(idents) == 21770 > 2 * _BATCH
+    assert len({abs(x).bit_length() // 8 for x in idents}) > 1
+    assert packed_rows(spec.n, idents) == [packed_rows(spec.n, [x])[0] for x in idents]
 
 
 def chain_length(start, step):
