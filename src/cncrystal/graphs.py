@@ -6,7 +6,7 @@ plus hashing and equality; decompose_set also asks for ``ident()``, a name no
 two elements share that orders them, and ``lowerings()``, the pairs
 ``(eps(i), ident of f(i))`` of every row.  Monomials qualify for both, their
 idents packed ints, and tableau columns for closure, so each is written once.
-decompose_set also walks those packed ints themselves, as brute force forms them.
+decompose_set also walks those packed ints themselves, given their rows or not.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -21,7 +21,8 @@ from itertools import count, repeat
 from operator import itemgetter
 
 from .monomials import height_scale, packed_rows, unpack
-from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, vertex_budget
+from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, check_rank
+from .rootdata import vertex_budget
 
 
 # A finite crystal graph: vertices in discovery order, (source, i, target) lowering edges.
@@ -87,19 +88,21 @@ Component = namedtuple("Component", "weight size witness")
 def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
-    Given their rank, the elements are packed idents, as product_set forms them, each its own
-    name: packed_rows reads their rows in ident order, and only witnesses and the suspects of
-    an error are decoded (unpack).  Protocol elements, named by their places in ident order,
-    fill the same row tuples from weight() and lowerings().  One walk by decreasing height, the
-    sum of a tuple's shares, ties in name order, finds each edge once, as an f(i) image.  An
-    element no parent lowered into is the witness of a new component; the others join their
-    first parent's.  An image outside the set raises ValueError naming the operator, row and
-    element; the e(i) images, inverse to the f(i) edges, are all in it exactly when as many
-    eps(i) are positive as there are edges.  The elements share one rank; monomials must pack
-    (shifts >= 1, exponents in [-64, 64)), as product sets, three-fold products and closures of
-    Y_k(m >= 1) do.  CrystalInvariantError: a witness is not highest weight or not dominant, or
-    two share a component.  Components are sorted by (weight.coeffs, size, sort_key)."""
-    elems = elements if isinstance(elements, (set, frozenset)) else set(elements)
+    Given their rank, the elements are packed idents, each its own name: a dict maps each to
+    its rows, as product_set forms them, and packed_rows reads a set's in ident order; only
+    witnesses and the suspects of an error are decoded (unpack).  The rank is checked, but a
+    wrong rank >= 2 is trusted: the ints alone cannot show it.  Protocol elements, named by
+    their places in ident order, fill the same row tuples from weight() and lowerings().  One
+    walk by decreasing height, the sum of a tuple's shares, ties in name order, finds each edge
+    once, as an f(i) image.  An element no parent lowered into is the witness of a new
+    component; the others join their first parent's.  An image outside the set raises
+    ValueError naming the operator, row and element; the e(i) images, inverse to the f(i)
+    edges, are all in it exactly when as many eps(i) are positive as there are edges.  The
+    elements share one rank; monomials must pack (shifts >= 1, exponents in [-64, 64)), as
+    product sets, three-fold products and closures of Y_k(m >= 1) do.  CrystalInvariantError:
+    a witness is not highest weight or not dominant, or two share a component.  Components
+    are sorted by (weight.coeffs, size, sort_key)."""
+    elems = elements if isinstance(elements, (set, frozenset, dict)) else set(elements)
     if rank is None:  # protocol elements, named by their places x in ident order
         if len(ranks := {v.rank for v in elems}) > 1:  # idents of different ranks may coincide
             raise ValueError("all elements must share one rank")
@@ -110,8 +113,9 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
                       for (eps, down), wt, s in zip(v.lowerings(), v.weight().coeffs, scale))
                 for x, v in enumerate(found)]  # an f(i) image outside the set is named -1
     else:  # packed idents name themselves
-        names, members = sorted(elems), elems
-        rows, decode = packed_rows(rank, names), lambda x: unpack(rank, x)
+        check_rank(rank)
+        names, members, decode = sorted(elems), elems, lambda x: unpack(rank, x)
+        rows = list(map(elems.get, names)) if isinstance(elems, dict) else packed_rows(rank, names)
 
     def refuse(suspects, otherwise: str):  # an error path: name an e(i) image outside the set
         for v in map(decode, suspects):

@@ -253,12 +253,23 @@ def _lowering_ident(n: int, i: int, m: int) -> int:  # A_i(m)**-1's, for a shift
 
 
 def unpack(n: int, ident: int) -> Monomial:
-    """Inverse of Monomial.ident() at rank n, read from the bytes as packed_rows reads them."""
+    """Inverse of Monomial.ident() at rank n, which it keeps, read from the bytes as packed_rows
+    reads them.  Its triples are shared with every other decoded monomial's, as the images of
+    a closure share theirs: a fundamental crystal then holds half the memory."""
     check_rank(n)
-    size = abs(ident).bit_length() // 8 + 1
+    size = _byte_size([ident])
     b = (ident + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
-    return Monomial._trusted(n, tuple((i, s, d - 128) for i in range(1, n + 1)
-                                      for s, d in enumerate(b[i - 1::n], 1) if d != 128))
+    out = Monomial._trusted(n, tuple(_triple(i, s, d - 128) for i in range(1, n + 1)
+                                     for s, d in enumerate(b[i - 1::n], 1) if d != 128))
+    out._ident = ident
+    return out
+
+
+_triple = lru_cache(maxsize=None)(lambda *triple: triple)  # one per (i, s, e) decoded: a few
+
+
+def _byte_size(idents: Iterable[int]) -> int:  # bytes that hold each balanced digit of them all
+    return max(map(int.bit_length, map(abs, idents)), default=0) // 8 + 1
 
 
 def height_scale(n: int) -> list[int]:  # times wt_k, summed: 2(wt, rho), which each e(i) raises
@@ -285,7 +296,7 @@ def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
     0x8080...80 makes each balanced digit a byte, digit + 128, with no carry, so row i is the
     slice [i-1::n] of the bytes.  Each step per ident runs in C, on _BATCH idents at a time
     whose bytes live only while they are cut: to_bytes, the cuts, the readers and the zip."""
-    size = max(map(int.bit_length, map(abs, idents)), default=0) // 8 + 1
+    size = _byte_size(idents)
     bias, todo, out = int.from_bytes(b"\x80" * size, "little"), iter(idents), []
     width = itertools.repeat(size), itertools.repeat("little")  # to_bytes' other arguments
     rows = [_RowReader(n, i, s) for i, s in enumerate(height_scale(n), 1)]
@@ -293,6 +304,40 @@ def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
         digits = list(map(int.to_bytes, map(bias.__add__, batch), *width))
         out += zip(*[map(row.__getitem__, map(row.cut, digits)) for row in rows])
     return out
+
+
+def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[int, tuple]:
+    """{(x << shift) + y: its packed_rows records} over the packed idents x in left, y in right,
+    shift a multiple of 8n.  Row i of a product is the merge of its factors' rows i, so the
+    factors' row-i slices fall into classes, and packed_rows reads each pair of classes once,
+    in one product of the pair.  Each left element's products are then filled by C-level maps
+    over the right classes; a product formed twice is kept once."""
+    (left_ids, left_reps), (right_ids, right_reps) = map(_row_classes, (n, n), (left, right))
+    pairs = list({(x, y) for xs, ys in zip(left_reps, right_reps) for x in xs for y in ys})
+    read = dict(zip(pairs, packed_rows(n, [(x << shift) + y for x, y in pairs])))
+    # per row i and left class: the row-i records of its products with each right element
+    columns = [[list(map([read[x, y][i] for y in ys].__getitem__, ids)) for x in xs]
+               for i, (xs, ys, ids) in enumerate(zip(left_reps, right_reps, right_ids))]
+    out = {}
+    for x, ids in zip(left, zip(*left_ids)):
+        rows = zip(*map(list.__getitem__, columns, ids))
+        out.update(zip(map((x << shift).__add__, right), rows))
+    return out
+
+
+def _row_classes(n: int, idents: list[int]) -> tuple[list, list]:
+    """Per row, each ident's class id and one ident per class, by the bytes of its row slice."""
+    size = _byte_size(idents)
+    bias = int.from_bytes(b"\x80" * size, "little")
+    digits = [(x + bias).to_bytes(size, "little") for x in idents]
+    classes, reps = [], []
+    for i in range(n):
+        cuts = [d[i::n] for d in digits]
+        rep = dict(zip(cuts, idents))  # any ident of a class stands for it
+        ids = dict(zip(rep, itertools.count()))
+        classes.append(list(map(ids.__getitem__, cuts)))
+        reps.append(list(rep.values()))
+    return classes, reps
 
 
 # -- X-variables and the fundamental sets M_k(m) -------------------------------
@@ -330,12 +375,27 @@ def x_monomial(n: int, letter: XLetter) -> Monomial:
 
 def m_k_words(n: int, k: int, m: int) -> Iterator[tuple[XLetter, ...]]:
     """All strictly increasing k-letter X-words with base shift m (top shift k+m-1)."""
+    for combo in _letter_combinations(n, k, m):
+        yield tuple(XLetter(v, k + m - 1 - j) for j, v in enumerate(combo))
+
+
+def _letter_combinations(n: int, k: int, m: int) -> Iterator[tuple[int, ...]]:
+    """The k-subsets of the 2n letters in increasing order, refused over the budget first."""
     check_rank(n)
     check_index(2 * n, k, "k")
     _check_shift(m, "m")
     check_budget(comb(2 * n, k), f"length {k} at rank {n} walks C({2 * n}, {k}) X-words")
-    for combo in itertools.combinations(letter_alphabet(n), k):
-        yield tuple(XLetter(v, k + m - 1 - j) for j, v in enumerate(combo))
+    return itertools.combinations(letter_alphabet(n), k)
+
+
+def m_k_idents(n: int, k: int) -> set[int]:
+    """The idents of m_k_set(n, k, 1), building no monomial: an X-word's monomial is the product
+    of its letters, so its ident is a sum over a (position, letter) -> ident table."""
+    combos = _letter_combinations(n, k, 1)
+    table = [{v: x_monomial(n, XLetter(v, k - j)).ident() for v in letter_alphabet(n)}
+             for j in range(k)]
+    return set(map(sum, map(map, itertools.repeat(dict.__getitem__), itertools.repeat(table),
+                            combos)))
 
 
 def m_k_set(n: int, k: int, m: int) -> tuple[Monomial, ...]:

@@ -7,8 +7,8 @@ three ways:
 
   * brute force: form the product set as packed ints (idents), sums of the
     shift-1 factors' idents, and split it in one walk over those ints, which
-    also proves it closed; it reads each element's rows from the int's bytes
-    and decodes only the witnesses into monomials;
+    also proves it closed; it reads each pair of factor rows once, from the
+    bytes of one product, and decodes only the witnesses into monomials;
   * character: count only the products of each dominant weight, as sums of
     packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
     the components off those counts with Freudenthal weight multiplicities;
@@ -37,8 +37,8 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from math import comb
 
-from .graphs import Component, CrystalInvariantError, decompose_set, generate_closure
-from .monomials import Monomial, m_k_set
+from .graphs import Component, CrystalInvariantError, decompose_set
+from .monomials import Monomial, m_k_idents, product_rows, unpack
 from .rootdata import Weight, check_budget, check_index, check_positive, check_rank
 from .rootdata import VertexBudgetExceeded, weight_multiplicity, weyl_dimension
 
@@ -59,34 +59,42 @@ class ProductSpec(namedtuple("ProductSpec", "n p q m")):
 
 @lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1) must not answer (n, True)
 def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
-    """Connected component of Y_k(1): the monomial model of the k-th
-    fundamental crystal, cross-checked against the X-word enumeration.
+    """Connected component of Y_k(1), sorted: the monomial model of the k-th
+    fundamental crystal, proved equal to the X-word enumeration.
     Its shift by m - 1 is M_k(m) = m_k_set(n, k, m); products shift its packed ints instead.
 
-    A cache hit forms no new elements, so it needs no budget check.  A miss
-    enumerates the X-words first: their C(2n, k) budget check refuses an
-    over-budget length before the closure starts."""
+    A miss sums the idents of the C(2n, k) X-words (m_k_idents, whose budget
+    check refuses an over-budget length before any is formed) and walks them:
+    one component, whose witness is Y_k(1), proves the set closed and
+    connected, so it is the closure of Y_k(1).  A cache hit forms no new
+    elements, so it needs no budget check."""
     check_rank(n)
     check_index(n, k, "k")
-    words = m_k_set(n, k, 1)
-    closure = tuple(sorted(generate_closure([Monomial.generator(n, k, 1)]).vertices))
-    if closure != words:
+    idents = m_k_idents(n, k)
+    try:  # more or fewer than one component fail the unpacking with ValueError
+        (component,) = decompose_set(idents, n)
+        proved = component.witness == Monomial.generator(n, k, 1)
+    except (ValueError, CrystalInvariantError):
+        proved = False
+    if not proved:
         raise CrystalInvariantError(
             f"closure of Y_{k}(1) disagrees with the X-word enumeration at rank {n}"
         )
-    return closure  # the operators' images share key triples; the words' do not
+    return tuple(sorted(unpack(n, x) for x in idents))
 
 
-def product_set(spec: ProductSpec) -> set[int]:
+def product_set(spec: ProductSpec) -> dict[int, tuple]:
     """All entrywise products as packed ints, formed (and checked against the budget) on every
     call, building no monomial: {(x << 8n(m-1)) + y} over the idents x of M_p(1) and y of
-    M_q(1).  decompose_set(products, spec.n) walks them and proves the set operator-closed."""
+    M_q(1), each mapped to its n row records as packed_rows reads them.  Row i of a product is
+    the merge of its factors' rows i, so product_rows reads each pair of factor rows once.
+    decompose_set(products, spec.n) walks those rows and proves the set operator-closed."""
     left = fundamental_crystal(spec.n, spec.p)
     right = fundamental_crystal(spec.n, spec.q)
     check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
                  f"form {len(left)}*{len(right)} products")
-    pairs = [([x.ident() for x in left], [y.ident() for y in right])]
-    return _distinct_products(pairs, spec)
+    idents = [x.ident() for x in left], [y.ident() for y in right]
+    return product_rows(spec.n, *idents, _shift(spec))
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
@@ -139,8 +147,12 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...
     return tuple(table)
 
 
-def _distinct_products(pairs: list, spec: ProductSpec) -> set[int]:  # M_p(1)'s ints up to M_p(m)
-    shift = 8 * spec.n * (spec.m - 1)
+def _shift(spec: ProductSpec) -> int:  # bits from M_p(1)'s ints up to M_p(m)'s
+    return 8 * spec.n * (spec.m - 1)
+
+
+def _distinct_products(pairs: list, spec: ProductSpec) -> set[int]:
+    shift = _shift(spec)
     return {(x << shift) + y for lw, rw in pairs for x in lw for y in rw}
 
 

@@ -11,7 +11,7 @@ from cncrystal.graphs import (
     is_closed,
 )
 from cncrystal import graphs, monomials
-from cncrystal.monomials import Monomial, m_k_set, unpack
+from cncrystal.monomials import Monomial, m_k_set, packed_rows, unpack
 from cncrystal.products import ProductSpec, fundamental_crystal, product_set
 from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
@@ -204,9 +204,27 @@ def packed_cells():
 def test_the_packed_walk_matches_the_monomial_walk():
     for spec in packed_cells():
         packed, formed = product_set(spec), monomial_products(spec)
-        assert packed == {x.ident() for x in formed}, spec
+        assert packed.keys() == {x.ident() for x in formed}, spec
         # weights, sizes and witnesses: the witnesses decode to the same monomials
         assert decompose_set(packed, spec.n) == decompose_set(formed), spec
+
+
+def test_rows_read_per_pair_of_factor_rows_are_the_packed_rows():
+    # product_set reads each pair of factor rows once; its rows are those packed_rows cuts
+    # from each product's own bytes, also where a product is 200 kB wide
+    far = [ProductSpec(2, 1, 1, 100000), ProductSpec(2, 2, 2, 100000)]
+    for spec in [*packed_cells(), *far]:
+        packed = product_set(spec)
+        assert list(packed.values()) == packed_rows(spec.n, list(packed)), spec
+
+
+def test_a_packed_walk_refuses_a_rank_that_is_not_one():
+    # the rank is checked before any row is read, also for an empty set
+    packed = product_set(ProductSpec(2, 1, 1, 1))
+    for rank in (1, True, 0, 2.0):
+        for elements in (packed, set(packed), set()):
+            with pytest.raises(ValueError, match=f"^rank must be an integer >= 2, got {rank!r}$"):
+                decompose_set(elements, rank)
 
 
 def failure(walk, elements):
@@ -252,8 +270,8 @@ def test_elements_of_equal_height_are_walked_in_ident_order():
 
 def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
     spec = ProductSpec(3, 2, 3, 4)
-    packed = product_set(spec)
-    components = decompose_set(packed, spec.n)  # fills the lru_cache of the f_i offsets
+    # fills the caches of the factor crystals and of the f_i offsets
+    components = decompose_set(product_set(spec), spec.n)
     built = []
     trusted = Monomial._trusted.__func__
 
@@ -267,10 +285,11 @@ def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
     monkeypatch.setattr(Monomial, "_trusted", classmethod(counted))
     for name in ("lowerings", "string_stats", "_merge"):
         monkeypatch.setattr(Monomial, name, None)
+    packed = product_set(spec)
     assert decompose_set(packed, spec.n) == components
     # one monomial per component, none per product or edge
     assert (len(packed), len(built)) == (196, len(components)) == (196, 3)
-    # and one row scan per distinct row of the set
+    # and one row scan per distinct row of the set, across forming the set and walking it
     rows = {(i, tuple(t for t in unpack(3, x).sort_key() if t[0] == i))
             for x in packed for i in (1, 2, 3)}
     assert len(scans) == len(rows) < 3 * len(packed)
@@ -287,7 +306,7 @@ def test_an_open_packed_set_decodes_only_its_suspect_and_the_witnesses_before(mo
     for dropped in witnesses:
         decoded.clear()
         with pytest.raises(ValueError, match="leaves the set, not closed") as info:
-            decompose_set(packed - {dropped}, spec.n)
+            decompose_set(packed.keys() - {dropped}, spec.n)
         *met, suspect = decoded
         assert set(met) <= set(witnesses) - {dropped} and len(set(met)) == len(met)
         assert suspect not in witnesses

@@ -8,6 +8,7 @@ from cncrystal.graphs import CrystalInvariantError
 from cncrystal.monomials import (
     Monomial,
     XLetter,
+    m_k_idents,
     m_k_set,
     x_monomial,
 )
@@ -244,6 +245,13 @@ def test_m_k_set_counts():
     assert len(m_k_set(5, 3, 1)) == 110
     assert len(m_k_set(2, 2, 1)) == 5
     assert m_k_set(2, 4, 7) == (Monomial.one(2),)
+
+
+def test_m_k_idents_pack_the_x_word_sets():
+    # an X-word's ident is the sum of its letters' idents, so the sums are the packed set
+    for n in range(2, 9):
+        for k in range(1, 2 * n + 1):
+            assert m_k_idents(n, k) == {x.ident() for x in m_k_set(n, k, 1)}, (n, k)
 
 
 def test_m_k_set_refuses_over_budget_before_walking_words(monkeypatch):

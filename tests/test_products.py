@@ -8,7 +8,7 @@ from highest_weight_reference import decompose_product_highest_weights
 from cncrystal import products
 from cncrystal.cli import main
 from cncrystal.graphs import CrystalInvariantError, generate_closure, is_closed
-from cncrystal.monomials import Monomial, m_k_set, unpack
+from cncrystal.monomials import Monomial, m_k_idents, m_k_set, unpack
 from cncrystal.products import (
     ProductSpec,
     predicted_components,
@@ -59,15 +59,23 @@ def test_fundamental_crystal_translates():
 
 
 def test_a_closure_that_disagrees_with_the_x_words_is_an_invariant_error(monkeypatch, capsys):
-    # the X-word enumeration with one word dropped stands in for a closure gone wrong
-    monkeypatch.setattr(products, "m_k_set", lambda n, k, m: m_k_set(n, k, m)[:-1])
+    # an X-word enumeration gone wrong: each word dropped in turn opens the set; a foreign
+    # ident, open (Y1(5)) or closed (the monomial 1), adds a component; the words shifted to
+    # M_1(2) are one closed component, but its witness is Y1(2), not Y1(1)
+    words = m_k_idents(2, 1)
+    assert words == {x.ident() for x in m_k_set(2, 1, 1)} and len(words) == 4
+    mutated = [words - {x} for x in sorted(words)]
+    mutated += [words | {Monomial.generator(2, 1, 5).ident()}, words | {Monomial.one(2).ident()}]
+    mutated.append({x << 16 for x in words})
     message = "closure of Y_1(1) disagrees with the X-word enumeration at rank 2"
-    fundamental_crystal.cache_clear()
     try:
-        with pytest.raises(CrystalInvariantError, match=f"^{re.escape(message)}$"):
-            fundamental_crystal(2, 1)
-        assert main(["decompose-product", "--rank", "2", "--p", "1", "--q", "1"]) == 2
-        assert capsys.readouterr() == ("", f"error: {message}\n")
+        for idents in mutated:
+            monkeypatch.setattr(products, "m_k_idents", lambda n, k: set(idents))
+            fundamental_crystal.cache_clear()
+            with pytest.raises(CrystalInvariantError, match=f"^{re.escape(message)}$"):
+                fundamental_crystal(2, 1)
+            assert main(["decompose-product", "--rank", "2", "--p", "1", "--q", "1"]) == 2
+            assert capsys.readouterr() == ("", f"error: {message}\n")
     finally:
         fundamental_crystal.cache_clear()
 
@@ -91,7 +99,7 @@ def test_packed_sums_count_the_monomial_products():
         sums = {x + y for x in left for y in right}
         monomials = monomial_products(spec)
         assert len(sums) == len(monomials)
-        assert sums == {z.ident() for z in monomials} == product_set(spec)
+        assert sums == {z.ident() for z in monomials} == product_set(spec).keys()
 
 
 def test_product_set_sizes_rank2():
@@ -103,7 +111,7 @@ def test_product_set_sizes_rank2():
     letters = fundamental_crystal(2, 1)
     formed = [a * b for a in letters for b in letters]
     assert len(formed) == 16
-    assert {z.ident() for z in formed} == product_set(ProductSpec(2, 1, 1, 1))
+    assert {z.ident() for z in formed} == product_set(ProductSpec(2, 1, 1, 1)).keys()
 
 
 def test_product_set_is_closed():
@@ -132,7 +140,7 @@ def test_bruteforce_rejects_an_open_product_set(monkeypatch):
     spec = ProductSpec(2, 1, 1, 2)
     # no component of this set is a single element, so dropping any one leaves it open
     truncated = product_set(spec)
-    truncated.pop()
+    truncated.popitem()
     monkeypatch.setattr(products, "product_set", lambda _spec: truncated)
     with pytest.raises(CrystalInvariantError, match="is not operator-closed") as info:
         decompose_product_bruteforce(spec)
@@ -272,10 +280,10 @@ def test_a_repeated_product_set_is_checked_against_the_budget_again(monkeypatch)
 
 def test_a_fundamental_crystal_is_refused_over_budget_before_its_closure(monkeypatch):
     # Y_3(1) at rank 5 walks C(10, 3) = 120 X-words and closes to 110 elements
-    def no_closure(seeds):
-        raise AssertionError("the closure was started")
+    def no_walk(elements, rank):
+        raise AssertionError("the walk was started")
 
-    monkeypatch.setattr(products, "generate_closure", no_closure)
+    monkeypatch.setattr(products, "decompose_set", no_walk)
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "119")
     message = r"length 3 at rank 5 walks C\(10, 3\) X-words: 120 exceeds the vertex budget 119"
     with pytest.raises(VertexBudgetExceeded, match=message):
