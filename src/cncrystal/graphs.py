@@ -1,12 +1,11 @@
 """Generic machinery for finite crystals.
 
-Works on any elements exposing the operator protocol: ``rank``, ``weight()``,
-``images(i)`` (the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``,
-plus hashing and equality; decompose_set also asks for ``ident()``, a name no
-two elements share that orders them, and ``lowerings()``, the pairs
-``(eps(i), ident of f(i))`` of every row.  Monomials qualify for both, their
-idents packed ints, and tableau columns for closure, so each is written once.
-decompose_set also walks those packed ints themselves, given their rows or not.
+Works on any elements exposing the operator protocol: ``rank``, ``weight()``, ``images(i)``
+(the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``, plus hashing and equality;
+decompose_set also asks for ``ident()``, a name no two elements share that orders them, and
+``lowerings()``, the pairs ``(eps(i), ident of f(i))`` of every row.  Monomials qualify for both,
+their idents packed ints, and tableau columns for closure, so each is written once.
+decompose_set also walks those packed ints themselves, by decreasing int.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -17,10 +16,9 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable
-from itertools import count, repeat
-from operator import itemgetter
+from operator import itemgetter, mul
 
-from .monomials import height_scale, packed_rows, unpack
+from .monomials import packed_rows, unpack
 from .rootdata import CrystalInvariantError, VertexBudgetExceeded, Weight, check_rank
 from .rootdata import vertex_budget
 
@@ -39,12 +37,10 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
     seed_list = sorted(set(seeds), key=lambda v: v.sort_key())
     if not seed_list:
         raise ValueError("generate_closure requires at least one seed")
-    budget = vertex_budget()
-    rank = seed_list[0].rank
+    budget, rank = vertex_budget(), seed_list[0].rank
     if any(s.rank != rank for s in seed_list):
         raise ValueError("all closure seeds must share one rank")
-    index: dict = {}
-    order: list = []
+    index, order = {}, []
     refusal = f"closure of {seed_list[0]} at rank {rank} exceeds the vertex budget {budget}"
 
     def add(v):
@@ -71,53 +67,79 @@ def generate_closure(seeds: Iterable) -> CrystalGraph:
 def is_closed(elements: Iterable) -> bool:
     """True when every operator image of every element stays inside the set."""
     elems = set(elements)
-    for v in elems:
-        for i in range(1, v.rank + 1):
-            up, down = v.images(i)
-            if up is not None and up not in elems:
-                return False
-            if down is not None and down not in elems:
-                return False
-    return True
+    return all(image is None or image in elems
+               for v in elems for i in range(1, v.rank + 1) for image in v.images(i))
 
 
 # One irreducible constituent: dominant weight, size, highest-weight witness.
 Component = namedtuple("Component", "weight size witness")
 
 
+def _walk(names: list, rows: Iterable, refuse) -> tuple[list, Counter] | None:
+    """(weight, witness name) and size per component, over names ordered parents first, with
+    their rows; or refuse(suspects, row of an f(i) image outside or 0, message)."""
+    owner, tops, raised, edges = dict.fromkeys(names), [], 0, 0  # name -> label; e(i), f(i) edges
+    for (x, label), lowered in zip(owner.items(), rows):  # a label set on the way is read here
+        if label is None:
+            if any(eps for eps, _, _ in lowered):
+                return refuse([x], 0, "a component holds 0 highest-weight elements")
+            if not (weight := Weight(map(itemgetter(1), lowered))).is_dominant():
+                return refuse((), 0, f"highest weight {weight} is not dominant")
+            label = owner[x] = len(tops)
+            tops.append((weight, x))
+        for eps, _, off in lowered:
+            raised += eps > 0
+            if off is not None:
+                edges += 1
+                if (o := owner.get(y := x + off, -1)) is None:
+                    owner[y] = label
+                elif o == -1:  # the first row whose f(i) image is outside the set
+                    return refuse([x], list(map(itemgetter(2), lowered)).index(off) + 1, "")
+                elif o != label:
+                    return refuse((), 0, "a component holds 2 highest-weight elements")
+    if raised != edges:
+        return refuse(names, 0, f"e and f are not partial inverses: {raised} e-images, "
+                      f"{edges} f-edges")
+    return tops, Counter(owner.values())
+
+
 def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Component, ...]:
     """Split a finite set closed under every e(i) and f(i) into components.
 
-    Given their rank, the elements are packed idents, each its own name: a dict maps each to
-    its rows, as product_set forms them, and packed_rows reads a set's in ident order; only
-    witnesses and the suspects of an error are decoded (unpack).  The rank is checked, but a
-    wrong rank >= 2 is trusted: the ints alone cannot show it.  Protocol elements, named by
-    their places in ident order, fill the same row tuples from weight() and lowerings().  One
-    walk by decreasing height, the sum of a tuple's shares, ties in name order, finds each edge
-    once, as an f(i) image.  An element no parent lowered into is the witness of a new
-    component; the others join their first parent's.  An image outside the set raises
-    ValueError naming the operator, row and element; the e(i) images, inverse to the f(i)
-    edges, are all in it exactly when as many eps(i) are positive as there are edges.  The
-    elements share one rank; monomials must pack (shifts >= 1, exponents in [-64, 64)), as
-    product sets, three-fold products and closures of Y_k(m >= 1) do.  CrystalInvariantError:
-    a witness is not highest weight or not dominant, or two share a component.  Components
-    are sorted by (weight.coeffs, size, sort_key)."""
+    Given their rank, the elements are packed idents, each its own name, with row records
+    (eps_i, wt_i, ident offset of f_i or None) from a dict, as product_set forms them, or from
+    packed_rows; a wrong rank >= 2 is trusted.  f(i) adds the ident of A_i(s)^-1, whose top digit
+    is -1, so one walk by decreasing int meets every element after its parents and finds each
+    edge once, as an f(i) image.  Any such order accepts the same sets, with the same components:
+    only a fault sends the ints on the walk that protocol elements take (named by their places in
+    ident order, their rows from weight() and lowerings()), by decreasing height 2(wt, rho), ties
+    in name order, to name the first fault it meets.  An element no parent lowered into is the
+    witness of a new component, decoded (unpack) after the walk.  An image outside the set raises
+    ValueError naming it; the e(i) images are all in it when as many eps(i) are positive as there
+    are edges.  CrystalInvariantError: a witness is not highest weight or not dominant, or two
+    share a component.  Monomials must pack, as product sets and closures of Y_k(m >= 1) do.
+    Components are sorted by (weight.coeffs, size, sort_key)."""
     elems = elements if isinstance(elements, (set, frozenset, dict)) else set(elements)
     if rank is None:  # protocol elements, named by their places x in ident order
         if len(ranks := {v.rank for v in elems}) > 1:  # idents of different ranks may coincide
             raise ValueError("all elements must share one rank")
         found, rank = sorted(elems, key=lambda v: v.ident()), max(ranks, default=0)
-        members, scale = {v.ident(): x for x, v in enumerate(found)}, height_scale(rank)
-        names, decode = range(len(found)), found.__getitem__
-        rows = [tuple((eps, wt, down if down is None else members.get(down, -1) - x, s * wt)
-                      for (eps, down), wt, s in zip(v.lowerings(), v.weight().coeffs, scale))
+        members, names = {v.ident(): x for x, v in enumerate(found)}, range(len(found))
+        rows = [tuple((eps, wt, down if down is None else members.get(down, -1) - x)
+                      for (eps, down), wt in zip(v.lowerings(), v.weight().coeffs))
                 for x, v in enumerate(found)]  # an f(i) image outside the set is named -1
+        decode, walked = found.__getitem__, None
     else:  # packed idents name themselves
         check_rank(rank)
-        names, members, decode = sorted(elems), elems, lambda x: unpack(rank, x)
+        names, members, decode = sorted(elems, reverse=True), elems, lambda x: unpack(rank, x)
         rows = list(map(elems.get, names)) if isinstance(elems, dict) else packed_rows(rank, names)
+        if (walked := _walk(names, rows, lambda *fault: None)) is None:
+            names, rows = names[::-1], rows[::-1]
 
-    def refuse(suspects, otherwise: str):  # an error path: name an e(i) image outside the set
+    def refuse(suspects, row: int, message: str):  # name an image outside the set if one is
+        if row:
+            raise ValueError(f"f_{row} of {decode(*suspects)} leaves the set, "
+                             "not closed under e and f")
         for v in map(decode, suspects):
             for i in range(1, rank + 1):
                 try:  # an image that does not pack is in no set walked here, whose members pack
@@ -126,32 +148,13 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
                     inside = False
                 if not inside:
                     raise ValueError(f"e_{i} of {v} leaves the set, not closed under e and f")
-        raise CrystalInvariantError(otherwise)
+        raise CrystalInvariantError(message)
 
-    heights = list(map(sum, map(map, repeat(itemgetter(3)), rows)))
-    order = sorted(range(len(rows)), key=heights.__getitem__, reverse=True)  # ties in name order
-    index = dict(zip(map(names.__getitem__, order), count()))  # name -> place in the walk
-    owner: list = [None] * len(order)  # place in the walk -> component label
-    tops, raised, edges = [], 0, 0  # (weight, witness) per component; e(i) images; f(i) edges
-    for k, x, lowered in zip(count(), index, map(rows.__getitem__, order)):
-        if (label := owner[k]) is None:
-            if any(eps for eps, *_ in lowered):
-                refuse([x], "a component holds 0 highest-weight elements")
-            if not (weight := Weight(map(itemgetter(1), lowered))).is_dominant():
-                raise CrystalInvariantError(f"highest weight {weight} is not dominant")
-            label = owner[k] = len(tops)
-            tops.append((weight, decode(x)))
-        for i, (eps, _, off, _) in enumerate(lowered, 1):
-            raised += eps > 0
-            if off is not None:
-                if (j := index.get(x + off)) is None:
-                    raise ValueError(f"f_{i} of {decode(x)} leaves the set, not closed under e and f")
-                edges += 1
-                if owner[j] not in (None, label):
-                    raise CrystalInvariantError("a component holds 2 highest-weight elements")
-                owner[j] = label
-    if raised != edges:
-        refuse(index, f"e and f are not partial inverses: {raised} e-images, {edges} f-edges")
-    sizes = Counter(owner)
-    comps = (Component(weight, sizes[label], v) for label, (weight, v) in enumerate(tops))
+    if walked is None:  # 2(wt, rho) is the sum of the wt_k * k(2n + 1 - k), raised by each e(i)
+        scale = [k * (2 * rank + 1 - k) for k in range(1, rank + 1)]
+        heights = [sum(map(mul, scale, map(itemgetter(1), row))) for row in rows]
+        order = sorted(range(len(rows)), key=heights.__getitem__, reverse=True)
+        walked = _walk([names[k] for k in order], map(rows.__getitem__, order), refuse)
+    tops, sizes = walked
+    comps = (Component(weight, sizes[label], decode(x)) for label, (weight, x) in enumerate(tops))
     return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

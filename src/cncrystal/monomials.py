@@ -21,6 +21,7 @@ here; every other module builds on top of these operators.
 from __future__ import annotations
 
 import itertools
+import re
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Collection, Iterable, Iterator, Mapping
@@ -259,12 +260,13 @@ def unpack(n: int, ident: int) -> Monomial:
     check_rank(n)
     size = _byte_size([ident])
     b = (ident + int.from_bytes(b"\x80" * size, "little")).to_bytes(size, "little")
-    out = Monomial._trusted(n, tuple(_triple(i, s, d - 128) for i in range(1, n + 1)
-                                     for s, d in enumerate(b[i - 1::n], 1) if d != 128))
+    out = Monomial._trusted(n, tuple(sorted(_triple(k % n + 1, k // n + 1, b[k] - 128)
+                                            for k in map(re.Match.start, _NONZERO.finditer(b)))))
     out._ident = ident
     return out
 
 
+_NONZERO = re.compile(b"[^\x80]")  # a digit other than 0, found by a scan in C: shifts may be far
 _triple = lru_cache(maxsize=None)(lambda *triple: triple)  # one per (i, s, e) decoded: a few
 
 
@@ -272,34 +274,29 @@ def _byte_size(idents: Iterable[int]) -> int:  # bytes that hold each balanced d
     return max(map(int.bit_length, map(abs, idents)), default=0) // 8 + 1
 
 
-def height_scale(n: int) -> list[int]:  # times wt_k, summed: 2(wt, rho), which each e(i) raises
-    return [k * (2 * n + 1 - k) for k in range(1, n + 1)]
-
-
 class _RowReader(dict):
     """Row i's records by the bytes of its slice (cut): _scan_row reads each on its first lookup."""
 
-    def __init__(self, n: int, i: int, scale: int):
-        self.n, self.i, self.scale, self.cut = n, i, scale, itemgetter(slice(i - 1, None, n))
+    def __init__(self, n: int, i: int):
+        self.n, self.i, self.cut = n, i, itemgetter(slice(i - 1, None, n))
 
     def __missing__(self, digits: bytes) -> tuple:
-        key = tuple((self.i, s, d - 128) for s, d in enumerate(digits, 1) if d != 128)
+        key = tuple((self.i, d.start() + 1, ord(d[0]) - 128) for d in _NONZERO.finditer(digits))
         eps, phi, _, n_f = _scan_row(key, 0, self.i)[0]
-        off = _lowering_ident(self.n, self.i, n_f) if phi else None
-        self[digits] = row = (eps, phi - eps, off, self.scale * (phi - eps))
+        self[digits] = row = (eps, phi - eps, _lowering_ident(self.n, self.i, n_f) if phi else None)
         return row
 
 
 def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
     """Per packed ident of rank n, in input order, its n row records (eps_i, wt_i = phi_i - eps_i,
-    ident offset of f_i or None, height share scale_i * wt_i), building no monomial.  Adding
-    0x8080...80 makes each balanced digit a byte, digit + 128, with no carry, so row i is the
-    slice [i-1::n] of the bytes.  Each step per ident runs in C, on _BATCH idents at a time
-    whose bytes live only while they are cut: to_bytes, the cuts, the readers and the zip."""
+    ident offset of f_i or None), building no monomial.  Adding 0x8080...80 makes each balanced
+    digit a byte, digit + 128, with no carry, so row i is the slice [i-1::n] of the bytes.  Each
+    step per ident runs in C, on _BATCH idents at a time whose bytes live only while they are
+    cut: to_bytes, the cuts, the readers and the zip."""
     size = _byte_size(idents)
     bias, todo, out = int.from_bytes(b"\x80" * size, "little"), iter(idents), []
     width = itertools.repeat(size), itertools.repeat("little")  # to_bytes' other arguments
-    rows = [_RowReader(n, i, s) for i, s in enumerate(height_scale(n), 1)]
+    rows = [_RowReader(n, i) for i in range(1, n + 1)]
     while batch := list(itertools.islice(todo, _BATCH)):
         digits = list(map(int.to_bytes, map(bias.__add__, batch), *width))
         out += zip(*[map(row.__getitem__, map(row.cut, digits)) for row in rows])

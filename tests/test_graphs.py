@@ -268,6 +268,40 @@ def test_elements_of_equal_height_are_walked_in_ident_order():
             walk()
 
 
+def test_every_lowering_lowers_a_packed_int():
+    # the packed walk takes its elements by decreasing int, which puts every parent before its
+    # children because f_i adds the ident of A_i(s)^-1, whose top digit is -1
+    for n in range(2, 10):
+        for i in range(1, n + 1):
+            for s in range(1, 2 * n + 5):
+                assert monomials._lowering_ident(n, i, s) < 0, (n, i, s)
+    for spec in packed_cells():
+        offsets = {off for rows in product_set(spec).values() for _, _, off in rows}
+        assert all(off < 0 for off in offsets - {None}), spec
+
+
+def test_a_closed_set_is_walked_once(monkeypatch):
+    # a closed packed set needs no heights: only a fault sends it on the walk by height, which
+    # names the fault that walk meets first; protocol elements take only the walk by height
+    walks = []
+    walk = graphs._walk
+    monkeypatch.setattr(graphs, "_walk",
+                        lambda names, *rest: walks.append(names) or walk(names, *rest))
+    spec = ProductSpec(4, 2, 3, 4)
+    packed = product_set(spec)
+    for elements in (packed, set(packed)):
+        walks.clear()
+        decompose_set(elements, spec.n)
+        assert walks == [sorted(packed, reverse=True)]
+    walks.clear()
+    decompose_set(monomial_products(spec))
+    assert len(walks) == 1
+    walks.clear()
+    with pytest.raises(ValueError, match="leaves the set"):  # its highest int opens the set
+        decompose_set(packed.keys() - {max(packed)}, spec.n)
+    assert len(walks) == 2 and walks[0] == sorted(walks[1], reverse=True) != walks[1]
+
+
 def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
     spec = ProductSpec(3, 2, 3, 4)
     # fills the caches of the factor crystals and of the f_i offsets

@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from cncrystal.graphs import decompose_set, generate_closure, is_closed
-from cncrystal.monomials import _BATCH, Monomial, height_scale, m_k_set, packed_rows, unpack
+from cncrystal.monomials import _BATCH, Monomial, m_k_set, packed_rows, unpack
 from cncrystal.products import (
     ProductSpec,
     fundamental_crystal,
@@ -54,11 +54,9 @@ def test_unpack_inverts_ident(x):
 def test_packed_rows_read_the_weight_and_lowerings(x):
     ident = x.ident()
     rows = packed_rows(x.rank, [ident])[0]
-    assert tuple(wt for _, wt, _, _ in rows) == x.weight().coeffs
-    lowered = [(eps, None if off is None else ident + off) for eps, _, off, _ in rows]
+    assert tuple(wt for _, wt, _ in rows) == x.weight().coeffs
+    lowered = [(eps, None if off is None else ident + off) for eps, _, off in rows]
     assert tuple(lowered) == x.lowerings()
-    scale = height_scale(x.rank)
-    assert [share for *_, share in rows] == [s * wt for s, wt in zip(scale, x.weight().coeffs)]
 
 
 def test_packed_rows_read_many_idents_as_each_alone():
