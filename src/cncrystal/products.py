@@ -124,14 +124,22 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     return components
 
 
+@lru_cache(maxsize=None)  # each shift-1 crystal is grouped once per process
+def _weight_classes(n: int, k: int) -> dict[int, list[int]]:
+    """fundamental_crystal(n, k)'s idents by ident % (256**n - 1) = sum wt_i * 256**(i-1), reduced,
+    at any shift, since 256**n is 1 modulo it; weight digits in [-64, 64) keep weights apart."""
+    classes, fold = {}, 256**n - 1
+    for x in fundamental_crystal(n, k):
+        classes.setdefault(x.ident() % fold, []).append(x.ident())
+    return classes
+
+
 @lru_cache(maxsize=1)  # verify's innermost loop is m, so one (n, p, q) is reused
-def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...]:
-    """(target, |W target|, [(left ints, right ints)]) for each dominant target below L_p + L_q,
-    in descending epsilon-lex order: the packed shift-1 factors, paired by weights adding to it."""
-    left, right, table = {}, {}, []
-    for classes, k in ((left, p), (right, q)):
-        for x in fundamental_crystal(n, k):
-            classes.setdefault(x.weight().coeffs, []).append(x.ident())
+def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, int, list, str], ...]:
+    """(target, |W target|, formed, [(left ints, right ints)], refusal) per dominant target below
+    L_p + L_q, in descending epsilon-lex order: the shift-1 weight classes whose residues add to
+    the target's, the sum |L| * |R| of their products, and the text refusing them over budget."""
+    left, right, fold, table = _weight_classes(n, p), _weight_classes(n, q), 256**n - 1, []
     # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
     # with no negative partial sum of the difference and an even whole
     for a in range(n, -1, -1):
@@ -140,10 +148,12 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, list], ...
             if min(sums) < 0 or sums[-1] % 2:
                 continue
             target = weight_of_pair(n, a, c)
-            pairs = [(lw, rw) for w, lw in left.items()
-                     if (rw := right.get(tuple(t - x for t, x in zip(target.coeffs, w))))]
+            key = sum(w << 8 * i for i, w in enumerate(target.coeffs))
+            pairs = [(lw, rw) for w, lw in left.items() if (rw := right.get((key - w) % fold))]
             # |W target|: W permutes the target's entries and negates its c nonzero ones
-            table.append((target, comb(n, c) * comb(c, a) << c, pairs))
+            table.append((target, comb(n, c) * comb(c, a) << c,
+                          sum(len(lw) * len(rw) for lw, rw in pairs), pairs,
+                          f"lengths {p} and {q} at rank {n}, products of weight {target}"))
     return tuple(table)
 
 
@@ -164,10 +174,9 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
     of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
     differ).  In descending epsilon-lex order, which refines dominance,
     m_mu = count(mu) - sum m_nu * mult_nu(mu), counting idents (_weight_pairs)."""
-    where = f"lengths {spec.p} and {spec.q} at rank {spec.n}, products of weight"
     peeled, total, found = [], 0, 0
-    for target, orbit, pairs in _weight_pairs(spec.n, spec.p, spec.q):
-        check_budget(sum(len(lw) * len(rw) for lw, rw in pairs), f"{where} {target}")
+    for target, orbit, formed, pairs, refusal in _weight_pairs(spec.n, spec.p, spec.q):
+        check_budget(formed, refusal)
         count = len(_distinct_products(pairs, spec))
         total += count * orbit
         copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)

@@ -211,6 +211,7 @@ def weyl_dimension(weight: Weight) -> int:
     return numerator // denominator
 
 
+@lru_cache(maxsize=None)  # the character path's peel asks the same pairs at every m
 def weight_multiplicity(highest: Weight, weight: Weight) -> int:
     """Multiplicity of weight in the irreducible C_n module of dominant highest
     weight lambda: the number of elements of B(lambda) of that weight."""

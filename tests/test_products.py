@@ -441,16 +441,67 @@ def test_each_threshold_is_where_the_products_of_its_weight_stop_colliding():
     for n in range(2, 7):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                classes = {t.coeffs: pairs for t, _, pairs in products._weight_pairs(n, p, q)}
+                records = {target.coeffs: (formed, pairs)
+                           for target, _, formed, pairs, _ in products._weight_pairs(n, p, q)}
                 for (a, c), threshold in predicted_components(n, p, q).items():
-                    pairs = classes[weight_of_pair(n, a, c).coeffs]
+                    recorded, pairs = records[weight_of_pair(n, a, c).coeffs]
                     formed = sum(len(lw) * len(rw) for lw, rw in pairs)
+                    assert formed == recorded, (n, p, q, a, c)
                     for m in range(1, n + 3):
                         spec = ProductSpec(n, p, q, m)
                         distinct = len(products._distinct_products(pairs, spec))
                         assert distinct <= formed and (distinct == formed) == (m >= threshold), spec
                     constituents += 1
     assert constituents == 411
+
+
+def _residue(n, coeffs):  # a weight's balanced base-256 digits, reduced modulo 256**n - 1
+    return sum(w << 8 * i for i, w in enumerate(coeffs)) % (256**n - 1)
+
+
+def test_an_idents_residue_is_its_weight_at_every_shift():
+    # 256**n is 1 modulo 256**n - 1, so a packed int reduces to its weight's digits, whatever
+    # the shifts of its variables; weight digits in [-64, 64) never wrap, so distinct weights
+    # keep distinct residues
+    for n in range(2, 9):
+        fold, weights = 256**n - 1, {}
+        for k in range(1, n + 1):
+            for x in fundamental_crystal(n, k):
+                residue = x.ident() % fold
+                assert residue == _residue(n, x.weight().coeffs), (n, k, x)
+                weights.setdefault(residue, set()).add(x.weight())
+                for m in (2, n + 2):
+                    assert helpers.shifted(x, m - 1).ident() % fold == residue, (n, k, x, m)
+        assert all(len(ws) == 1 for ws in weights.values()), n
+    # the residue of a product at any shift m is the sum of its factors' residues
+    for n in range(2, 6):
+        fold = 256**n - 1
+        crystals = [[x.ident() for x in fundamental_crystal(n, k)] for k in range(1, n + 1)]
+        for left in crystals:
+            for right in crystals:
+                for m in range(1, n + 3):
+                    shift = 8 * n * (m - 1)
+                    assert all(((x << shift) + y) % fold == (x % fold + y % fold) % fold
+                               for x in left for y in right), (n, m)
+
+
+def test_residue_pairs_are_the_weight_class_pairs():
+    # the pairs that grouping the factors by Monomial.weight() forms, target by target
+    for n in range(2, 6):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                left, right = {}, {}
+                for classes, k in ((left, p), (right, q)):
+                    for x in fundamental_crystal(n, k):
+                        classes.setdefault(x.weight().coeffs, []).append(x.ident())
+                for target, _, formed, pairs, refusal in products._weight_pairs(n, p, q):
+                    expected = [
+                        (lw, rw) for w, lw in left.items()
+                        if (rw := right.get(tuple(t - x for t, x in zip(target.coeffs, w))))
+                    ]
+                    assert pairs == expected, (n, p, q, target)
+                    assert formed == sum(len(lw) * len(rw) for lw, rw in expected)
+                    assert refusal == f"lengths {p} and {q} at rank {n}, products of weight {target}"
 
 
 # -- lengths above n ----------------------------------------------------------------
