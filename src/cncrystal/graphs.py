@@ -4,8 +4,8 @@ Works on any elements exposing the operator protocol: ``rank``, ``weight()``, ``
 (the pair ``(e(i), f(i))`` from one string scan), ``sort_key()``, plus hashing and equality;
 decompose_set also asks for ``ident()``, a name no two elements share that orders them, and
 ``lowerings()``, the pairs ``(eps(i), ident of f(i))`` of every row.  Monomials qualify for both,
-their idents packed ints, and tableau columns for closure, so each is written once.
-decompose_set also walks those packed ints themselves, by decreasing int.
+their idents packed ints, and tableau columns for closure, so each is written once.  decompose_set
+also walks those packed ints themselves: a set by decreasing int, a product dict as it was formed.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -75,9 +75,9 @@ def is_closed(elements: Iterable) -> bool:
 Component = namedtuple("Component", "weight size witness")
 
 
-def _walk(names: list, rows: Iterable, refuse) -> tuple[list, Counter] | None:
-    """(weight, witness name) and size per component, over names ordered parents first, with
-    their rows; or refuse(suspects, row of an f(i) image outside or 0, message)."""
+def _walk(names: Iterable, rows: Iterable, refuse) -> tuple[list, Counter] | None:
+    """(weight, witness name) and size per component, over names with their rows; or
+    refuse(suspects, row of an f(i) image outside or 0, message), also for a child met first."""
     owner, tops, raised, edges = dict.fromkeys(names), [], 0, 0  # name -> label; e(i), f(i) edges
     for (x, label), lowered in zip(owner.items(), rows):  # a label set on the way is read here
         if label is None:
@@ -107,18 +107,20 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
     """Split a finite set closed under every e(i) and f(i) into components.
 
     Given their rank, the elements are packed idents, each its own name, with row records
-    (eps_i, wt_i, ident offset of f_i or None) from a dict, as product_set forms them, or from
-    packed_rows; a wrong rank >= 2 is trusted.  f(i) adds the ident of A_i(s)^-1, whose top digit
-    is -1, so one walk by decreasing int meets every element after its parents and finds each
-    edge once, as an f(i) image.  Any such order accepts the same sets, with the same components:
-    only a fault sends the ints on the walk that protocol elements take (named by their places in
-    ident order, their rows from weight() and lowerings()), by decreasing height 2(wt, rho), ties
-    in name order, to name the first fault it meets.  An element no parent lowered into is the
-    witness of a new component, decoded (unpack) after the walk.  An image outside the set raises
-    ValueError naming it; the e(i) images are all in it when as many eps(i) are positive as there
-    are edges.  CrystalInvariantError: a witness is not highest weight or not dominant, or two
-    share a component.  Monomials must pack, as product sets and closures of Y_k(m >= 1) do.
-    Components are sorted by (weight.coeffs, size, sort_key)."""
+    (eps_i, wt_i, ident offset of f_i or None): a dict's, as product_set forms them, walked in its
+    own order, or a set's, from packed_rows, walked by decreasing int; a wrong rank >= 2 is
+    trusted.  The walk finds each edge once, as an f(i) image, and labels spread down the edges;
+    an element met unlabelled is the witness of a new component, refused if an eps(i) is positive.
+    When as many eps(i) are positive as there are edges, the e(i) images are all in the set and
+    only the elements with no positive eps(i) lack a parent; so any accepted walk gives the same
+    components and witnesses.  f(i) adds the ident of A_i(s)^-1, whose top digit is -1, so the
+    walk by decreasing int meets parents first; any other order costs time, never a result.  A
+    refused walk is made again as protocol elements are walked (named by their places in ident
+    order, rows from weight() and lowerings()), by decreasing height 2(wt, rho), ties in name
+    order, to name the first fault it meets.  An image outside the set raises ValueError naming
+    it.  CrystalInvariantError: a witness is not highest weight or not dominant, or two share a
+    component.  Witnesses are decoded (unpack) after the walk; monomials must pack, as product sets
+    and closures of Y_k(m >= 1) do.  Components are sorted by (weight.coeffs, size, sort_key)."""
     elems = elements if isinstance(elements, (set, frozenset, dict)) else set(elements)
     if rank is None:  # protocol elements, named by their places x in ident order
         if len(ranks := {v.rank for v in elems}) > 1:  # idents of different ranks may coincide
@@ -131,10 +133,11 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
         decode, walked = found.__getitem__, None
     else:  # packed idents name themselves
         check_rank(rank)
-        names, members, decode = sorted(elems, reverse=True), elems, lambda x: unpack(rank, x)
-        rows = list(map(elems.get, names)) if isinstance(elems, dict) else packed_rows(rank, names)
-        if (walked := _walk(names, rows, lambda *fault: None)) is None:
-            names, rows = names[::-1], rows[::-1]
+        if not isinstance(elems, dict):  # a set is walked by decreasing int
+            elems = dict(zip(names := sorted(elems, reverse=True), packed_rows(rank, names)))
+        members, decode = elems, lambda x: unpack(rank, x)
+        if (walked := _walk(elems, elems.values(), lambda *fault: None)) is None:
+            rows = list(map(elems.get, names := sorted(elems)))  # equal heights by increasing int
 
     def refuse(suspects, row: int, message: str):  # name an image outside the set if one is
         if row:
@@ -152,9 +155,9 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
 
     if walked is None:  # 2(wt, rho) is the sum of the wt_k * k(2n + 1 - k), raised by each e(i)
         scale = [k * (2 * rank + 1 - k) for k in range(1, rank + 1)]
-        heights = [sum(map(mul, scale, map(itemgetter(1), row))) for row in rows]
-        order = sorted(range(len(rows)), key=heights.__getitem__, reverse=True)
-        walked = _walk([names[k] for k in order], map(rows.__getitem__, order), refuse)
+        walk = sorted(zip(names, rows), reverse=True,
+                      key=lambda named: sum(map(mul, scale, map(itemgetter(1), named[1]))))
+        walked = _walk(list(map(itemgetter(0), walk)), map(itemgetter(1), walk), refuse)
     tops, sizes = walked
     comps = (Component(weight, sizes[label], decode(x)) for label, (weight, x) in enumerate(tops))
     return tuple(sorted(comps, key=lambda c: (c.weight.coeffs, c.size, c.witness.sort_key())))

@@ -275,16 +275,21 @@ def _byte_size(idents: Iterable[int]) -> int:  # bytes that hold each balanced d
 
 
 class _RowReader(dict):
-    """Row i's records by the bytes of its slice (cut): _scan_row reads each on its first lookup."""
+    """Row i's records by the bytes of its slice (cut) or by its key: _scan_row reads each once."""
 
     def __init__(self, n: int, i: int):
         self.n, self.i, self.cut = n, i, itemgetter(slice(i - 1, None, n))
 
-    def __missing__(self, digits: bytes) -> tuple:
-        key = tuple((self.i, d.start() + 1, ord(d[0]) - 128) for d in _NONZERO.finditer(digits))
+    def __missing__(self, row: bytes | tuple) -> tuple:
+        key = _row_key(self.i, row) if isinstance(row, bytes) else row
         eps, phi, _, n_f = _scan_row(key, 0, self.i)[0]
-        self[digits] = row = (eps, phi - eps, _lowering_ident(self.n, self.i, n_f) if phi else None)
-        return row
+        self[row] = record = (eps, phi - eps, _lowering_ident(self.n, self.i, n_f) if phi else None)
+        return record
+
+
+def _row_key(i: int, digits: bytes, lift: int = 0) -> tuple[Triple, ...]:
+    """Row i's triples (i, shift + lift, digit), nonzero, in key order, from its slice's bytes."""
+    return tuple((i, d.start() + 1 + lift, ord(d[0]) - 128) for d in _NONZERO.finditer(digits))
 
 
 def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
@@ -305,36 +310,43 @@ def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
 
 def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[int, tuple]:
     """{(x << shift) + y: its packed_rows records} over the packed idents x in left, y in right,
-    shift a multiple of 8n.  Row i of a product is the merge of its factors' rows i, so the
-    factors' row-i slices fall into classes, and packed_rows reads each pair of classes once,
-    in one product of the pair.  Each left element's products are then filled by C-level maps
-    over the right classes; a product formed twice is kept once."""
-    (left_ids, left_reps), (right_ids, right_reps) = map(_row_classes, (n, n), (left, right))
-    pairs = list({(x, y) for xs, ys in zip(left_reps, right_reps) for x in xs for y in ys})
-    read = dict(zip(pairs, packed_rows(n, [(x << shift) + y for x, y in pairs])))
+    shift a multiple of 8n, filled x-major: a product formed twice keeps its first place.  Row i of
+    a product merges its factors' rows i, the left one lifted by shift // 8n, so the factors' row-i
+    slices fall into classes, and _scan_row reads each distinct merge of two classes' digits once,
+    forming no product's bytes.  Each left element's products are filled by C-level maps."""
+    (left_ids, left_keys), (right_ids, right_keys) = (_row_classes(n, left, shift // (8 * n)),
+                                                      _row_classes(n, right, 0))
     # per row i and left class: the row-i records of its products with each right element
-    columns = [[list(map([read[x, y][i] for y in ys].__getitem__, ids)) for x in xs]
-               for i, (xs, ys, ids) in enumerate(zip(left_reps, right_reps, right_ids))]
+    columns = [[list(map([read[_merged(x, y)] for y in ys].__getitem__, ids)) for x in xs]
+               for read, xs, ys, ids in zip(map(_RowReader, [n] * n, range(1, n + 1)),
+                                            left_keys, right_keys, right_ids)]
     out = {}
     for x, ids in zip(left, zip(*left_ids)):
-        rows = zip(*map(list.__getitem__, columns, ids))
-        out.update(zip(map((x << shift).__add__, right), rows))
+        out.update(zip(map((x << shift).__add__, right), zip(*map(list.__getitem__, columns, ids))))
     return out
 
 
-def _row_classes(n: int, idents: list[int]) -> tuple[list, list]:
-    """Per row, each ident's class id and one ident per class, by the bytes of its row slice."""
-    size = _byte_size(idents)
-    bias = int.from_bytes(b"\x80" * size, "little")
+def _merged(x: tuple[Triple, ...], y: tuple[Triple, ...]) -> tuple[Triple, ...]:
+    """The key of a product's row from its factors' keys of that row, which may share shifts."""
+    if not (x and y and x[0][1] <= y[-1][1] and y[0][1] <= x[-1][1]):  # one run ends first
+        return y + x if x and y and y[-1][1] < x[0][1] else x + y
+    acc = {}
+    for i, s, e in sorted(x + y):
+        acc[i, s] = acc.get((i, s), 0) + e
+    return tuple((i, s, e) for (i, s), e in acc.items() if e)
+
+
+def _row_classes(n: int, idents: list[int], lift: int) -> tuple[list, list]:
+    """Per row, each ident's class id, by the bytes of its row slice, and each class's key."""
+    bias = int.from_bytes(b"\x80" * (size := _byte_size(idents)), "little")
     digits = [(x + bias).to_bytes(size, "little") for x in idents]
-    classes, reps = [], []
-    for i in range(n):
-        cuts = [d[i::n] for d in digits]
-        rep = dict(zip(cuts, idents))  # any ident of a class stands for it
-        ids = dict(zip(rep, itertools.count()))
+    classes, keys = [], []
+    for i in range(1, n + 1):
+        cuts = [d[i - 1::n] for d in digits]
+        ids = dict(zip(dict.fromkeys(cuts), itertools.count()))
         classes.append(list(map(ids.__getitem__, cuts)))
-        reps.append(list(rep.values()))
-    return classes, reps
+        keys.append([_row_key(i, cut, lift) for cut in ids])
+    return classes, keys
 
 
 # -- X-variables and the fundamental sets M_k(m) -------------------------------

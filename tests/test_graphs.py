@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 
 import pytest
@@ -210,10 +211,12 @@ def test_the_packed_walk_matches_the_monomial_walk():
 
 
 def test_rows_read_per_pair_of_factor_rows_are_the_packed_rows():
-    # product_set reads each pair of factor rows once; its rows are those packed_rows cuts
-    # from each product's own bytes, also where a product is 200 kB wide
-    far = [ProductSpec(2, 1, 1, 100000), ProductSpec(2, 2, 2, 100000)]
-    for spec in [*packed_cells(), *far]:
+    # product_set merges each pair of factor row classes from their digits, the left ones lifted
+    # by m - 1 shifts, forming no product's bytes; its rows are those packed_rows cuts from each
+    # product's own bytes, also where the factors lie far apart and a product is 200 kB wide
+    far = [ProductSpec(n, p, q, 1000) for n in (2, 3, 4) for p in range(1, n + 1)
+           for q in range(1, n + 1)]
+    for spec in [*packed_cells(), *far, ProductSpec(2, 1, 1, 100000), ProductSpec(2, 2, 2, 100000)]:
         packed = product_set(spec)
         assert list(packed.values()) == packed_rows(spec.n, list(packed)), spec
 
@@ -280,19 +283,28 @@ def test_every_lowering_lowers_a_packed_int():
         assert all(off < 0 for off in offsets - {None}), spec
 
 
-def test_a_closed_set_is_walked_once(monkeypatch):
-    # a closed packed set needs no heights: only a fault sends it on the walk by height, which
-    # names the fault that walk meets first; protocol elements take only the walk by height
+def record_walks(monkeypatch) -> list:
+    """The names of every walk decompose_set makes from now on, each in its walk's order."""
     walks = []
     walk = graphs._walk
     monkeypatch.setattr(graphs, "_walk",
-                        lambda names, *rest: walks.append(names) or walk(names, *rest))
+                        lambda names, *rest: walks.append(list(names)) or walk(names, *rest))
+    return walks
+
+
+def test_a_closed_set_is_walked_once(monkeypatch):
+    # a closed packed set needs no heights: only a fault sends it on the walk by height, which
+    # names the fault that walk meets first; a product dict is walked in its own order, which is
+    # not the order by decreasing int, a set by decreasing int; protocol elements take only the
+    # walk by height
+    walks = record_walks(monkeypatch)
     spec = ProductSpec(4, 2, 3, 4)
     packed = product_set(spec)
-    for elements in (packed, set(packed)):
+    assert list(packed) != sorted(packed, reverse=True)
+    for elements, order in ((packed, list(packed)), (set(packed), sorted(packed, reverse=True))):
         walks.clear()
         decompose_set(elements, spec.n)
-        assert walks == [sorted(packed, reverse=True)]
+        assert walks == [order]
     walks.clear()
     decompose_set(monomial_products(spec))
     assert len(walks) == 1
@@ -300,6 +312,45 @@ def test_a_closed_set_is_walked_once(monkeypatch):
     with pytest.raises(ValueError, match="leaves the set"):  # its highest int opens the set
         decompose_set(packed.keys() - {max(packed)}, spec.n)
     assert len(walks) == 2 and walks[0] == sorted(walks[1], reverse=True) != walks[1]
+
+
+def test_every_brute_force_cell_is_walked_once(monkeypatch):
+    # product_set forms its products x-major, both factors by decreasing int: at ranks 2-4 with
+    # m <= n + 3, that order meets a parent of every product before it, so no cell needs heights
+    cells = [ProductSpec(n, p, q, m) for n in (2, 3, 4) for p in range(1, n + 1)
+             for q in range(1, n + 1) for m in range(1, n + 4)]
+    walks = record_walks(monkeypatch)
+    for spec in cells:
+        packed = product_set(spec)
+        walks.clear()
+        decompose_set(packed, spec.n)
+        assert walks == [list(packed)], spec
+    assert len(cells) == 20 + 54 + 112
+
+
+def test_the_walk_order_changes_no_result(monkeypatch):
+    # reversed, a product dict meets a child before its parents, which refuses the walk if the set
+    # has an edge, so it is walked again by height; shuffled, it may be.  Either way it gives the
+    # components, or names the fault, of the dict as formed
+    walks, shuffle = record_walks(monkeypatch), random.Random(29).shuffle
+    for spec in [*(spec for spec in packed_cells() if spec.n <= 3), ProductSpec(4, 2, 3, 4)]:
+        packed = product_set(spec)
+        components = decompose_set(packed, spec.n)
+        walks.clear()
+        assert decompose_set(dict(reversed(packed.items())), spec.n) == components, spec
+        assert len(walks) == 1 + (len(packed) > len(components)), spec
+        items = list(packed.items())
+        shuffle(items)
+        assert decompose_set(dict(items), spec.n) == components, spec
+    spec = ProductSpec(3, 1, 2, 1)
+    truncated = product_set(spec)
+    del truncated[(Monomial.generator(3, 1, 1) * Monomial.generator(3, 2, 1)).ident()]
+    message = r"^e_2 of Y1\(1\)\*Y1\(2\)\*Y2\(2\)\^-1\*Y3\(1\) leaves the set, not closed"
+    for _ in range(8):  # some orders meet another parentless element of that height first
+        items = list(truncated.items())
+        shuffle(items)
+        with pytest.raises(ValueError, match=message):
+            decompose_set(dict(items), spec.n)
 
 
 def test_the_packed_walk_decodes_only_witnesses(monkeypatch):
