@@ -322,14 +322,13 @@ def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[
                                             left_keys, right_keys, right_ids)]
     out = {}
     for x, ids in zip(left, zip(*left_ids)):
-        out.update(zip(map((x << shift).__add__, right), zip(*map(list.__getitem__, columns, ids))))
+        rows = zip(*map(list.__getitem__, columns, ids))
+        out.update(zip(map((x << shift).__add__, right), rows))
     return out
 
 
 def _merged(x: tuple[Triple, ...], y: tuple[Triple, ...]) -> tuple[Triple, ...]:
     """The key of a product's row from its factors' keys of that row, which may share shifts."""
-    if not (x and y and x[0][1] <= y[-1][1] and y[0][1] <= x[-1][1]):  # one run ends first
-        return y + x if x and y and y[-1][1] < x[0][1] else x + y
     acc = {}
     for i, s, e in sorted(x + y):
         acc[i, s] = acc.get((i, s), 0) + e
@@ -338,7 +337,8 @@ def _merged(x: tuple[Triple, ...], y: tuple[Triple, ...]) -> tuple[Triple, ...]:
 
 def _row_classes(n: int, idents: list[int], lift: int) -> tuple[list, list]:
     """Per row, each ident's class id, by the bytes of its row slice, and each class's key."""
-    bias = int.from_bytes(b"\x80" * (size := _byte_size(idents)), "little")
+    size = _byte_size(idents)
+    bias = int.from_bytes(b"\x80" * size, "little")
     digits = [(x + bias).to_bytes(size, "little") for x in idents]
     classes, keys = [], []
     for i in range(1, n + 1):

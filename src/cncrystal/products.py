@@ -1,25 +1,34 @@
 """Entrywise products of fundamental monomial crystals and their decomposition.
 
-The product here is the honest product of Laurent monomials (exponents add), not a tensor
-product.  Such a product set is again closed under the crystal operators and splits into
-irreducibles; this module computes that splitting three ways:
+The product here is the honest product of Laurent monomials (exponents add),
+not a tensor product.  Such a product set is again closed under the crystal
+operators and splits into irreducibles; this module computes that splitting
+three ways:
 
-  * brute force: form the product set as packed ints (idents), sums of the shift-1 factors'
-    idents, with rows merged from the factors' row classes, and split it in one walk in the
-    order formed, which also proves it closed; it decodes only the witnesses into monomials;
-  * character: count only the products of each dominant weight, as sums of packed ints paired
-    once per (n, p, q) from the shift-1 crystals, and peel the components off those counts
-    with Freudenthal weight multiplicities;
-  * closed form: the arithmetic rule predicting which dominant weights L_a + L_c occur, each
-    gated by an integer threshold on the shift gap m.
+  * brute force: form the product set as packed ints (idents), sums of the
+    shift-1 factors' idents, with rows merged from the factors' row classes,
+    and split it in one walk in the order formed, which also proves it
+    closed; it decodes only the witnesses into monomials;
+  * character: count only the products of each dominant weight, as sums of
+    packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
+    the components off those counts with Freudenthal weight multiplicities;
+  * closed form: the arithmetic rule predicting which dominant weights
+    L_a + L_c occur, each gated by an integer threshold on the shift gap m.
 
-decompose-product compares brute force with the closed form; verify_range pairs the character
-path with it on every cell of a range.  Results are plain data (tuples of Component records,
-pair tuples, ProductSpec); cncrystal.cli writes every document.
+decompose-product compares brute force with the closed form; verify_range
+pairs the character path with it on every cell of a range.  Results are
+plain data (tuples of Component records, pair tuples, ProductSpec);
+cncrystal.cli writes every document.
 
-The closed form is one table, predicted_components: every tensor constituent (a, c) with its
-threshold, the least m at which it appears.  Its keys are the tensor-product decomposition;
-the product keeps those whose threshold is at most m.
+The closed form is one table, predicted_components: every tensor constituent
+(a, c) with its threshold, the least m at which it appears,
+
+    gap = (p + q) - (a + c) > 0 and even:  m >= (q-p-a-c+2)/2 + n,
+    gap = 0:                               m >= q - a + 1,
+
+except the top component (a, c) = (min(p, q), max(p, q)), present from m = 1.
+Its keys are the tensor-product decomposition; the product keeps those whose
+threshold is at most m.
 """
 
 from __future__ import annotations
@@ -54,10 +63,11 @@ def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
     fundamental crystal, proved equal to the X-word enumeration.
     Its shift by m - 1 is M_k(m) = m_k_set(n, k, m); products shift its packed ints instead.
 
-    A miss sums the idents of the C(2n, k) X-words (m_k_idents, whose budget check refuses an
-    over-budget length before any is formed) and walks them: one component, whose witness is
-    Y_k(1), proves the set closed and connected, so it is the closure of Y_k(1).  A cache hit
-    forms no new elements, so it needs no budget check."""
+    A miss sums the idents of the C(2n, k) X-words (m_k_idents, whose budget
+    check refuses an over-budget length before any is formed) and walks them:
+    one component, whose witness is Y_k(1), proves the set closed and
+    connected, so it is the closure of Y_k(1).  A cache hit forms no new
+    elements, so it needs no budget check."""
     check_rank(n)
     check_index(n, k, "k")
     idents = m_k_idents(n, k)
@@ -79,7 +89,8 @@ def product_set(spec: ProductSpec) -> dict[int, tuple]:
     M_q(1), each by decreasing int, x-major, each mapped to its n row records as packed_rows
     reads them, merged by product_rows from the factors' rows.  decompose_set(products, spec.n)
     walks them in that order and proves the set operator-closed."""
-    left, right = (fundamental_crystal(spec.n, k) for k in (spec.p, spec.q))
+    left = fundamental_crystal(spec.n, spec.p)
+    right = fundamental_crystal(spec.n, spec.q)
     check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
                  f"form {len(left)}*{len(right)} products")
     idents = (sorted((x.ident() for x in crystal), reverse=True) for crystal in (left, right))
@@ -87,13 +98,14 @@ def product_set(spec: ProductSpec) -> dict[int, tuple]:
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
-    """Decompose the product set by one walk over its packed ints, naming the spec and the
-    phase of a broken invariant; an open product set is one, since the theory says each is
-    operator-closed.
+    """Decompose the product set by one walk over its packed ints, naming the
+    spec and the phase of a broken invariant; an open product set is one,
+    since the theory says each is operator-closed.
 
-    Also checks the structural fact that every highest-weight product splits off the left
-    factor Y_p(m): subtracting its ident from a witness's must leave the ident of an element of
-    the right-hand fundamental crystal."""
+    Also checks the structural fact that every highest-weight product splits
+    off the left factor Y_p(m): subtracting its ident from a witness's must
+    leave the ident of an element of the right-hand fundamental crystal.
+    """
     products = product_set(spec)
     try:
         components = decompose_set(products, spec.n)
@@ -155,12 +167,13 @@ def _distinct_products(pairs: list, spec: ProductSpec) -> set[int]:
 
 
 def decompose_product_character(spec: ProductSpec) -> Counter:
-    """The weight multiset of the decomposition, comparable with Counter(c.weight.coeffs for c
-    in decompose_product_bruteforce(spec)).  The product set is closed, so it is a sum of
-    m_lambda B(lambda) whose W-invariant character is fixed by count(mu), the number of products
-    a*b of each dominant weight mu = wt(a) + wt(b) (products of unequal weights differ).  In
-    descending epsilon-lex order, which refines dominance, m_mu = count(mu) - sum m_nu *
-    mult_nu(mu), counting idents (_weight_pairs)."""
+    """The weight multiset of the decomposition, comparable with
+    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).
+    The product set is closed, so it is a sum of m_lambda B(lambda) whose
+    W-invariant character is fixed by count(mu), the number of products a*b
+    of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
+    differ).  In descending epsilon-lex order, which refines dominance,
+    m_mu = count(mu) - sum m_nu * mult_nu(mu), counting idents (_weight_pairs)."""
     peeled, total, found = [], 0, 0
     for target, orbit, formed, pairs, refusal in _weight_pairs(spec.n, spec.p, spec.q):
         check_budget(formed, refusal)
@@ -183,12 +196,14 @@ def decompose_product_character(spec: ProductSpec) -> Counter:
 
 
 def predicted_components(n: int, p: int, q: int) -> dict[tuple[int, int], int]:
-    """Every tensor constituent L_a + L_c of the (p, q) pair, mapped to its threshold: the least
-    left shift m at which it is present in the product.  Keys come in canonical (sorted) order.
+    """Every tensor constituent L_a + L_c of the (p, q) pair, mapped to its
+    threshold: the least left shift m at which it is present in the product.
+    Keys come in canonical (sorted) order.
 
-    A pair is a constituent when 0 <= a <= c <= n, a <= p, |p - q| <= c - a, the gap
-    (p + q) - (a + c) is even and nonnegative, and (p + q + c - a) / 2 <= n.  Its threshold is 1
-    for the top pair (min(p, q), max(p, q)), q - a + 1 for the other pairs of gap 0, and
+    A pair is a constituent when 0 <= a <= c <= n, a <= p, |p - q| <= c - a,
+    the gap (p + q) - (a + c) is even and nonnegative, and
+    (p + q + c - a) / 2 <= n.  Its threshold is 1 for the top pair
+    (min(p, q), max(p, q)), q - a + 1 for the other pairs of gap 0, and
     (q - p - a - c + 2) / 2 + n for a positive gap."""
     check_rank(n)
     check_index(n, p, "p")
