@@ -5,7 +5,7 @@ Works on any elements exposing the operator protocol: ``rank``, ``weight()``, ``
 decompose_set also asks for ``ident()``, a name no two elements share that orders them, and
 ``lowerings()``, the pairs ``(eps(i), ident of f(i))`` of every row.  Monomials qualify for both,
 their idents packed ints, and tableau columns for closure, so each is written once.  decompose_set
-also walks those packed ints themselves: a set by decreasing int, a product dict as it was formed.
+also walks packed ints, rows read per row class: a set by decreasing int, a product dict as formed.
 
 Closure is breadth-first from seeds sorted by ``sort_key``; components are
 (weight, size, witness) records in a fixed order.  So vertex and component
@@ -108,7 +108,7 @@ def decompose_set(elements: Iterable, rank: int | None = None) -> tuple[Componen
 
     Given their rank, the elements are packed idents, each its own name, with row records
     (eps_i, wt_i, ident offset of f_i or None): a dict's, as product_set forms them, walked in its
-    own order, or a set's, from packed_rows, walked by decreasing int; a wrong rank >= 2 is
+    own order, or a set's, read by row class (packed_rows), by decreasing int; a wrong rank >= 2 is
     trusted.  The walk finds each edge once, as an f(i) image, and labels spread down the edges;
     an element met unlabelled is the witness of a new component, refused if an eps(i) is positive.
     When as many eps(i) are positive as there are edges, the e(i) images are all in the set and

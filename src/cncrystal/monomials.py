@@ -24,7 +24,7 @@ import itertools
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Collection, Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
@@ -42,7 +42,6 @@ from .rootdata import (
 
 StringStats = namedtuple("StringStats", "epsilon phi n_e n_f")
 
-_BATCH = 256  # idents packed_rows reads at a time: their bytes live only while it reads them
 ExponentKey = tuple[int, int]  # (row index i, shift m)
 Triple = tuple[int, int, int]  # (row index i, shift m, exponent e)
 
@@ -110,19 +109,8 @@ class Monomial:
     # -- ring operations ----------------------------------------------------
 
     def _merge(self, triples: Iterable[Triple]) -> "Monomial":
-        """self times each Y_i(m)**e, bisected into a copy of the sorted key."""
-        out = list(self._key)
-        for i, m, e in triples:
-            k = bisect_left(out, (i, m))
-            if k < len(out) and out[k][0] == i and out[k][1] == m:
-                e += out[k][2]
-                if e:
-                    out[k] = (i, m, e)
-                else:
-                    del out[k]
-            else:
-                out.insert(k, (i, m, e))
-        return Monomial._trusted(self.rank, tuple(out))
+        """self times each Y_i(m)**e, its key merged by _merged."""
+        return Monomial._trusted(self.rank, _merged(self._key, triples))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if not isinstance(other, Monomial):
@@ -215,6 +203,22 @@ class Monomial:
         return f"Monomial({self.rank}, {str(self)!r})"
 
 
+def _merged(key: tuple[Triple, ...], triples: Iterable[Triple]) -> tuple[Triple, ...]:
+    """key times each Y_i(m)**e, bisected into a copy of the sorted key: the product's key."""
+    out = list(key)
+    for i, m, e in triples:
+        k = bisect_left(out, (i, m))
+        if k < len(out) and out[k][0] == i and out[k][1] == m:
+            e += out[k][2]
+            if e:
+                out[k] = (i, m, e)
+            else:
+                del out[k]
+        else:
+            out.insert(k, (i, m, e))
+    return tuple(out)
+
+
 def _scan_row(key: tuple[Triple, ...], k: int, i: int) -> tuple[tuple[int, int, int, int], int]:
     """string_stats of row i as a plain tuple, its run in key starting at index k, and the
     index past it.  One walk up the run keeps the prefix sum, a virtual 0 just below the run,
@@ -275,44 +279,31 @@ def _byte_size(idents: Iterable[int]) -> int:  # bytes that hold each balanced d
 
 
 class _RowReader(dict):
-    """Row i's records by the bytes of its slice (cut) or by its key: _scan_row reads each once."""
+    """Row i's records by its key: _scan_row reads each distinct row once."""
 
     def __init__(self, n: int, i: int):
-        self.n, self.i, self.cut = n, i, itemgetter(slice(i - 1, None, n))
+        self.n, self.i = n, i
 
-    def __missing__(self, row: bytes | tuple) -> tuple:
-        key = _row_key(self.i, row) if isinstance(row, bytes) else row
+    def __missing__(self, key: tuple[Triple, ...]) -> tuple:
         eps, phi, _, n_f = _scan_row(key, 0, self.i)[0]
-        self[row] = record = (eps, phi - eps, _lowering_ident(self.n, self.i, n_f) if phi else None)
+        self[key] = record = (eps, phi - eps, _lowering_ident(self.n, self.i, n_f) if phi else None)
         return record
 
 
-def _row_key(i: int, digits: bytes, lift: int = 0) -> tuple[Triple, ...]:
-    """Row i's triples (i, shift + lift, digit), nonzero, in key order, from its slice's bytes."""
-    return tuple((i, d.start() + 1 + lift, ord(d[0]) - 128) for d in _NONZERO.finditer(digits))
-
-
-def packed_rows(n: int, idents: Collection[int]) -> list[tuple]:
+def packed_rows(n: int, idents: list[int]) -> list[tuple]:
     """Per packed ident of rank n, in input order, its n row records (eps_i, wt_i = phi_i - eps_i,
-    ident offset of f_i or None), building no monomial.  Adding 0x8080...80 makes each balanced
-    digit a byte, digit + 128, with no carry, so row i is the slice [i-1::n] of the bytes.  Each
-    step per ident runs in C, on _BATCH idents at a time whose bytes live only while they are
-    cut: to_bytes, the cuts, the readers and the zip."""
-    size = _byte_size(idents)
-    bias, todo, out = int.from_bytes(b"\x80" * size, "little"), iter(idents), []
-    width = itertools.repeat(size), itertools.repeat("little")  # to_bytes' other arguments
-    rows = [_RowReader(n, i) for i in range(1, n + 1)]
-    while batch := list(itertools.islice(todo, _BATCH)):
-        digits = list(map(int.to_bytes, map(bias.__add__, batch), *width))
-        out += zip(*[map(row.__getitem__, map(row.cut, digits)) for row in rows])
-    return out
+    ident offset of f_i or None), building no monomial: _row_classes groups the idents by their
+    row slices, and one _RowReader per row reads each class's key once."""
+    classes, keys = _row_classes(n, idents, 0)
+    records = [list(map(_RowReader(n, i).__getitem__, row)) for i, row in enumerate(keys, 1)]
+    return list(zip(*[map(row.__getitem__, ids) for row, ids in zip(records, classes)]))
 
 
 def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[int, tuple]:
     """{(x << shift) + y: its packed_rows records} over the packed idents x in left, y in right,
     shift a multiple of 8n, filled x-major: a product formed twice keeps its first place.  Row i of
     a product merges its factors' rows i, the left one lifted by shift // 8n, so the factors' row-i
-    slices fall into classes, and _scan_row reads each distinct merge of two classes' digits once,
+    slices fall into classes, and _scan_row reads each distinct _merged key of two classes once,
     forming no product's bytes.  Each left element's products are filled by C-level maps."""
     (left_ids, left_keys), (right_ids, right_keys) = (_row_classes(n, left, shift // (8 * n)),
                                                       _row_classes(n, right, 0))
@@ -327,25 +318,21 @@ def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[
     return out
 
 
-def _merged(x: tuple[Triple, ...], y: tuple[Triple, ...]) -> tuple[Triple, ...]:
-    """The key of a product's row from its factors' keys of that row, which may share shifts."""
-    acc = {}
-    for i, s, e in sorted(x + y):
-        acc[i, s] = acc.get((i, s), 0) + e
-    return tuple((i, s, e) for (i, s), e in acc.items() if e)
-
-
 def _row_classes(n: int, idents: list[int], lift: int) -> tuple[list, list]:
-    """Per row, each ident's class id, by the bytes of its row slice, and each class's key."""
+    """Per row, each ident's class id, by the bytes of its row slice, and each class's key, its
+    nonzero digits as (i, shift + lift, digit).  Adding 0x8080...80 makes each balanced digit a
+    byte, digit + 128, with no carry, so row i is the slice [i-1::n]; to_bytes and cuts run in C."""
     size = _byte_size(idents)
     bias = int.from_bytes(b"\x80" * size, "little")
-    digits = [(x + bias).to_bytes(size, "little") for x in idents]
+    width = itertools.repeat(size), itertools.repeat("little")  # to_bytes' other arguments
+    digits = list(map(int.to_bytes, map(bias.__add__, idents), *width))
     classes, keys = [], []
     for i in range(1, n + 1):
-        cuts = [d[i - 1::n] for d in digits]
+        cuts = list(map(itemgetter(slice(i - 1, None, n)), digits))
         ids = dict(zip(dict.fromkeys(cuts), itertools.count()))
         classes.append(list(map(ids.__getitem__, cuts)))
-        keys.append([_row_key(i, cut, lift) for cut in ids])
+        keys.append([tuple((i, d.start() + 1 + lift, ord(d[0]) - 128)
+                           for d in _NONZERO.finditer(cut)) for cut in ids])
     return classes, keys
 
 

@@ -1,6 +1,7 @@
 """Names only the tests call, kept out of the library: monomials built from
 factors, their exponents, support, inverse and shift, root monomials, Cartan entries,
-simple roots, and product sets formed as monomials rather than packed integers."""
+simple roots, product sets formed as monomials rather than packed integers, and the row
+records of a monomial read from its operators."""
 
 from bisect import bisect_left
 
@@ -75,3 +76,13 @@ def monomial_products(spec):
     left = m_k_set(spec.n, spec.p, spec.m)
     right = fundamental_crystal(spec.n, spec.q)
     return {a * b for a in left for b in right}
+
+
+def operator_rows(mono):
+    """mono's row records as packed_rows gives them, (eps_i, wt_i, ident offset of f_i or None),
+    read from the operators: string_stats(i).epsilon, weight() and lowerings(), whose eps_i agree."""
+    stats = [mono.string_stats(i) for i in range(1, mono.rank + 1)]
+    lowered, base = mono.lowerings(), mono.ident()
+    assert [s.epsilon for s in stats] == [eps for eps, _ in lowered], mono
+    return tuple((s.epsilon, wt, None if down is None else down - base)
+                 for s, wt, (_, down) in zip(stats, mono.weight().coeffs, lowered))

@@ -18,7 +18,7 @@ from cncrystal.rootdata import VertexBudgetExceeded, Weight
 from cncrystal.tableaux import Column
 from tensor_reference import TensorPair
 from undirected_walk_reference import undirected_decompose_set
-from helpers import monomial_products
+from helpers import monomial_products, operator_rows
 
 
 def test_closure_rank2_path():
@@ -219,6 +219,10 @@ def test_rows_read_per_pair_of_factor_rows_are_the_packed_rows():
     for spec in [*packed_cells(), *far, ProductSpec(2, 1, 1, 100000), ProductSpec(2, 2, 2, 100000)]:
         packed = product_set(spec)
         assert list(packed.values()) == packed_rows(spec.n, list(packed)), spec
+        if (spec.n <= 3 and spec.m <= 2 * spec.n + 1) or spec.m == 100000:
+            # both readers share _row_classes and _RowReader: the monomial operators check both
+            for x, rows in packed.items():
+                assert rows == operator_rows(unpack(spec.n, x)), (spec, x)
 
 
 def test_a_packed_walk_refuses_a_rank_that_is_not_one():

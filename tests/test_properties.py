@@ -6,7 +6,7 @@ from collections import Counter
 from hypothesis import example, given, settings, strategies as st
 
 from cncrystal.graphs import decompose_set, generate_closure, is_closed
-from cncrystal.monomials import _BATCH, Monomial, m_k_set, packed_rows, unpack
+from cncrystal.monomials import Monomial, m_k_set, packed_rows, unpack
 from cncrystal.products import (
     ProductSpec,
     fundamental_crystal,
@@ -16,7 +16,7 @@ from cncrystal.products import (
 )
 from cncrystal.tableaux import tensor_highest_weights
 import helpers
-from helpers import from_factors, monomial_products, simple_root
+from helpers import from_factors, monomial_products, operator_rows, simple_root
 from tensor_reference import TensorPair
 
 
@@ -37,8 +37,8 @@ exponents = st.one_of(st.sampled_from([-64, -63, 62, 63]), st.integers(-64, 63))
 
 
 @st.composite
-def packable_monomials(draw):
-    n = draw(st.integers(2, 8))
+def packable_monomials(draw, n=None):
+    n = draw(st.integers(2, 8)) if n is None else n
     entries = draw(st.dictionaries(
         st.tuples(st.integers(1, n), st.integers(1, 12)), exponents, max_size=8))
     return Monomial(n, entries)
@@ -59,12 +59,29 @@ def test_packed_rows_read_the_weight_and_lowerings(x):
     assert tuple(lowered) == x.lowerings()
 
 
+@st.composite
+def packable_pairs(draw):
+    n = draw(st.integers(2, 6))
+    return draw(packable_monomials(n)), draw(packable_monomials(n))
+
+
+@given(packable_pairs())
+@example((Monomial(3, {(1, 1): -64, (3, 12): 63, (2, 5): -1}),) * 2)
+def test_a_sum_of_two_packed_idents_reads_digits_past_one_field(pair):
+    # the digits of a sum of two packable idents reach [-128, 127], past the field [-64, 64) of one
+    a, b = pair
+    ident = a.ident() + b.ident()
+    x = unpack(a.rank, ident)
+    assert x == a * b  # so x's rows carry (a * b).weight()
+    assert packed_rows(a.rank, [ident])[0] == operator_rows(x)
+
+
 def test_packed_rows_read_many_idents_as_each_alone():
-    # more idents than one batch, in set order and of several byte lengths: the same rows,
-    # in input order, as reading each ident by itself
+    # many idents, in set order and of several byte lengths, read at one shared byte size:
+    # the same rows, in input order, as reading each ident by itself
     spec = ProductSpec(5, 4, 5, 5)
     idents = list(product_set(spec))
-    assert idents != sorted(idents) and len(idents) == 21770 > 2 * _BATCH
+    assert idents != sorted(idents) and len(idents) == 21770
     assert len({abs(x).bit_length() // 8 for x in idents}) > 1
     assert packed_rows(spec.n, idents) == [packed_rows(spec.n, [x])[0] for x in idents]
 
