@@ -125,13 +125,13 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
 
 
 @lru_cache(maxsize=None)  # each shift-1 crystal is grouped once per process
-def _weight_classes(n: int, k: int) -> dict[int, list[int]]:
+def _weight_classes(n: int, k: int) -> dict[int, tuple[int, ...]]:
     """fundamental_crystal(n, k)'s idents by ident % (256**n - 1) = sum wt_i * 256**(i-1), reduced,
     at any shift, since 256**n is 1 modulo it; weight digits in [-64, 64) keep weights apart."""
     classes, fold = {}, 256**n - 1
     for x in fundamental_crystal(n, k):
         classes.setdefault(x.ident() % fold, []).append(x.ident())
-    return classes
+    return {w: tuple(idents) for w, idents in classes.items()}  # kept, so no list's spare room
 
 
 @lru_cache(maxsize=1)  # verify's innermost loop is m, so one (n, p, q) is reused

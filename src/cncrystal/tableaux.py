@@ -6,19 +6,23 @@ column, and the letter crystal of one-box columns is the 2n-vertex path
 
     1 -1-> 2 -2-> ... -(n-1)-> n -n-> nbar -(n-1)-> ... -2-> 2bar -1-> 1bar,
 
-whose arrows are read off the integers themselves.  A column [i_1 < ... < i_N]
-carries the crystal structure of the word [i_1] (x) ... (x) [i_N] in
-Kashiwara's tensor convention.  It is read off by the signature rule: going
-down the column, write - for each letter with eps_i = 1 and + for each letter
-with phi_i = 1, and let every + cancel the nearest free - below it.  Then
-eps_i counts the free -, phi_i the free +, e_i raises the lowest free - and
-f_i lowers the highest free +.  Admissible columns (the one-column condition
-below) realize the fundamental crystal of highest weight L_N.  The i-signature
-of a word u reduces to -^eps_i(u) +^phi_i(u), so the word u.v has
+whose arrows are read off the integers themselves: v > 0 has eps_(v-1) = 1
+and phi_v = 1, -v has eps_v = 1 and phi_(v-1) = 1, and the rest are 0.  A
+column [i_1 < ... < i_N] carries the crystal structure of the word
+[i_1] (x) ... (x) [i_N] in Kashiwara's tensor convention.  It is read off by
+the signature rule: going down the column, write - for each letter with
+eps_i = 1 and + for each letter with phi_i = 1, and let every + cancel the
+nearest free - below it.  Then eps_i counts the free -, phi_i the free +, e_i
+raises the lowest free - and f_i lowers the highest free +.  No letter writes
+two symbols of one i-signature, so one pass down the column reads all n of
+them.  Admissible columns (the one-column condition below) realize the
+fundamental crystal of highest weight L_N.  The i-signature of a word u
+reduces to -^eps_i(u) +^phi_i(u), so the word u.v has
 eps_i(u) + max(0, eps_i(v) - phi_i(u)) free -: Kashiwara's tensor rule.
 
 This model is the independent oracle for tensor-product decompositions: it
-imports only the root data and never touches the monomial realization.
+imports only the root data and never touches the monomial realization.  It
+tests pairs by the eps vectors it keeps for each column crystal.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import itertools
 from collections.abc import Iterable
 from functools import lru_cache
 from math import comb
+from operator import le
 
 from .rootdata import (
     Weight,
@@ -37,28 +42,6 @@ from .rootdata import (
     letter_alphabet,
     letter_order_index,
 )
-
-
-def _lowered(n: int, v: int, i: int) -> int | None:
-    """f_i on the letter v: its successor on the letter-crystal path, or None."""
-    if i < n:
-        if v == i:
-            return i + 1
-        if v == -(i + 1):
-            return -i
-        return None
-    return -n if v == n else None
-
-
-def _raised(n: int, v: int, i: int) -> int | None:
-    """e_i on the letter v: its predecessor on the letter-crystal path, or None."""
-    if i < n:
-        if v == i + 1:
-            return i
-        if v == -i:
-            return -(i + 1)
-        return None
-    return n if v == -n else None
 
 
 class Column:
@@ -73,9 +56,14 @@ class Column:
             raise ValueError("a column needs at least one letter")
         for v in letters:
             letter_order_index(rank, v)
-        self.rank = rank
-        self.letters = letters
-        self._hash = hash((Column, rank, letters))
+        self.rank, self.letters, self._hash = rank, letters, hash((Column, rank, letters))
+
+    @classmethod
+    def _trusted(cls, rank: int, letters: tuple[int, ...]) -> "Column":
+        """Wrap a nonempty tuple of letters already valid at this rank."""
+        obj = cls.__new__(cls)
+        obj.rank, obj.letters, obj._hash = rank, letters, hash((Column, rank, letters))
+        return obj
 
     def weight(self) -> Weight:
         eps = [0] * self.rank
@@ -83,25 +71,30 @@ class Column:
             eps[abs(v) - 1] += 1 if v > 0 else -1
         return Weight.from_epsilon(eps)
 
-    def _signature(self, i: int) -> tuple[list[int], list[int]]:
-        """Positions of the free - and of the free + in the i-signature, top down."""
-        n = self.rank
-        check_index(n, i)
-        minus: list[int] = []
-        plus: list[int] = []
+    def _signatures(self) -> list[tuple[list[int], list[int]]]:
+        """Free - and free + positions of every i-signature, top down, as entry i, in one pass
+        (module docstring); entry 0 is no row: the - of 1 and the + of -1 land there."""
+        rows = [([], []) for _ in range(self.rank + 1)]
         for pos, v in enumerate(self.letters):
-            if _raised(n, v, i) is not None:
-                if plus:
-                    plus.pop()
-                else:
-                    minus.append(pos)
-            elif _lowered(n, v, i) is not None:
-                plus.append(pos)
-        return minus, plus
+            minus, plus = rows[v - 1 if v > 0 else -v]
+            if plus:
+                plus.pop()
+            else:
+                minus.append(pos)
+            rows[v if v > 0 else -v - 1][1].append(pos)
+        return rows
 
-    def _replace(self, pos: int, value: int) -> "Column":
-        letters = self.letters
-        return Column(self.rank, letters[:pos] + (value,) + letters[pos + 1:])
+    def _signature(self, i: int) -> tuple[list[int], list[int]]:
+        check_index(self.rank, i)
+        return self._signatures()[i]
+
+    def _replace(self, pos: int, step: int) -> "Column":
+        """The column with its letter at pos one step along the letter-crystal path: v to
+        v + step, but n forward to -n and -n back to n.  e_i steps a - of row i back (-1),
+        f_i a + of row i forward (+1)."""
+        letters, v = self.letters, self.letters[pos]
+        v = -v if v == step * self.rank else v + step
+        return Column._trusted(self.rank, letters[:pos] + (v,) + letters[pos + 1:])
 
     def epsilon(self, i: int) -> int:
         return len(self._signature(i)[0])
@@ -113,9 +106,8 @@ class Column:
         """(e_i, f_i) from one signature; this holds both operators' rule:
         e_i raises the lowest free -, f_i lowers the highest free +."""
         minus, plus = self._signature(i)
-        n, letters = self.rank, self.letters
-        up = self._replace(minus[-1], _raised(n, letters[minus[-1]], i)) if minus else None
-        return up, self._replace(plus[0], _lowered(n, letters[plus[0]], i)) if plus else None
+        return (self._replace(minus[-1], -1) if minus else None,
+                self._replace(plus[0], 1) if plus else None)
 
     def e(self, i: int) -> "Column | None":
         """Raising operator: the first of images(i)."""
@@ -126,10 +118,10 @@ class Column:
         return self.images(i)[1]
 
     def is_highest_weight(self) -> bool:
-        return all(self.epsilon(i) == 0 for i in range(1, self.rank + 1))
+        return not any(minus for minus, _ in self._signatures()[1:])
 
     def sort_key(self):
-        # the letters were validated by __init__
+        # the letters are valid: __init__ checks them, and _trusted is given only valid ones
         n = self.rank
         return tuple(_letter_position(n, v) for v in self.letters)
 
@@ -179,19 +171,29 @@ def column_crystal(n: int, length: int) -> tuple[Column, ...]:
     the caller checks the budget."""
     check_rank(n)
     check_index(n, length, "length")
-    columns = (Column(n, combo) for combo in itertools.combinations(letter_alphabet(n), length))
+    columns = (Column._trusted(n, combo)
+               for combo in itertools.combinations(letter_alphabet(n), length))
     return tuple(filter(column_is_admissible, columns))
 
 
-@lru_cache(maxsize=None)  # keyed by a cached column_crystal, so it scans once per (n, length)
-def _highest_weights(crystal: tuple[Column, ...]) -> tuple[tuple[Column, Weight, list], ...]:
-    return tuple((u, u.weight(), [u.phi(i) for i in range(1, u.rank + 1)])  # phi_i for every i
-                 for u in crystal if u.is_highest_weight())
+@lru_cache(maxsize=None)  # keyed by (n, length): hashing a crystal hashes each column
+def _epsilon_vectors(n: int, length: int) -> tuple[tuple[int, ...], ...]:
+    """(eps_1, ..., eps_n) of each column of column_crystal(n, length), in its order, one
+    signature pass per column; equal vectors are one tuple, so a crystal holds few."""
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    return tuple(shared.setdefault(eps, eps) for eps in (
+        tuple(len(minus) for minus, _ in v._signatures()[1:]) for v in column_crystal(n, length)))
 
 
-def tensor_highest_weights(
-    n: int, p: int, q: int
-) -> tuple[tuple[Column, Column, Weight], ...]:
+@lru_cache(maxsize=None)
+def _highest_weights(n: int, length: int) -> tuple[tuple[int, Weight, list[int]], ...]:
+    """(place in column_crystal(n, length), weight, [phi_1, ..., phi_n]) of each column, eps 0."""
+    crystal = column_crystal(n, length)
+    return tuple((k, crystal[k].weight(), [len(plus) for _, plus in crystal[k]._signatures()[1:]])
+                 for k, eps in enumerate(_epsilon_vectors(n, length)) if not any(eps))
+
+
+def tensor_highest_weights(n: int, p: int, q: int) -> tuple[tuple[Column, Column, Weight], ...]:
     """All highest-weight pairs u (x) v with u, v in the fundamental crystals
     of lengths p and q.
 
@@ -206,9 +208,7 @@ def tensor_highest_weights(
     for length in (p, q):
         check_budget(comb(2 * n, length), f"columns of length {length} at rank {n}")
     left, right = column_crystal(n, p), column_crystal(n, q)
-    out = []
-    for u, wu, room in _highest_weights(left):
-        for v in right:
-            if all(v.epsilon(i) <= phi for i, phi in enumerate(room, start=1)):
-                out.append((u, v, wu + v.weight()))
-    return tuple(out)
+    right_eps = _epsilon_vectors(n, q)
+    return tuple((left[k], v, wu + v.weight())
+                 for k, wu, room in _highest_weights(n, p)
+                 for v, eps in zip(right, right_eps) if all(map(le, eps, room)))

@@ -495,8 +495,8 @@ def test_residue_pairs_are_the_weight_class_pairs():
                     for x in fundamental_crystal(n, k):
                         classes.setdefault(x.weight().coeffs, []).append(x.ident())
                 for target, _, formed, pairs, refusal in products._weight_pairs(n, p, q):
-                    expected = [
-                        (lw, rw) for w, lw in left.items()
+                    expected = [  # the classes are kept as tuples
+                        (tuple(lw), tuple(rw)) for w, lw in left.items()
                         if (rw := right.get(tuple(t - x for t, x in zip(target.coeffs, w))))
                     ]
                     assert pairs == expected, (n, p, q, target)

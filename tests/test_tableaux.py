@@ -229,6 +229,30 @@ def test_highest_weight_partner_shape():
     # (shape checked structurally; the weight bookkeeping is implied)
 
 
+def test_cached_epsilon_vectors_are_the_columns_and_shared():
+    for n in range(2, 7):
+        for length in range(1, n + 1):
+            vectors = tableaux._epsilon_vectors(n, length)
+            expected = tuple(tuple(v.epsilon(i) for i in range(1, n + 1))
+                             for v in column_crystal(n, length))
+            assert vectors == expected, (n, length)
+            # equal vectors are one tuple
+            first = {}
+            assert all(first.setdefault(eps, eps) is eps for eps in vectors), (n, length)
+
+
+def test_a_repeated_tensor_call_runs_no_signature_pass(monkeypatch):
+    expected = tensor_highest_weights(5, 2, 4)
+
+    def no_pass(column):
+        raise AssertionError(f"a signature pass over {column}")
+
+    monkeypatch.setattr(Column, "_signatures", no_pass)
+    assert tensor_highest_weights(5, 2, 4) == expected
+    with pytest.raises(AssertionError, match="a signature pass"):
+        Column(5, (1, 2)).epsilon(1)
+
+
 def test_column_text_and_json():
     col = Column(2, (2, -2))
     assert str(col) == "[2,2̄]"
