@@ -24,7 +24,7 @@ import itertools
 import re
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from math import comb, prod
 from operator import itemgetter
@@ -299,7 +299,7 @@ def packed_rows(n: int, idents: list[int]) -> list[tuple]:
     return list(zip(*[map(row.__getitem__, ids) for row, ids in zip(records, classes)]))
 
 
-def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[int, tuple]:
+def product_rows(n: int, left: Sequence[int], right: Sequence[int], shift: int) -> dict[int, tuple]:
     """{(x << shift) + y: its packed_rows records} over the packed idents x in left, y in right,
     shift a multiple of 8n, filled x-major: a product formed twice keeps its first place.  Row i of
     a product merges its factors' rows i, the left one lifted by shift // 8n, so the factors' row-i
@@ -318,7 +318,7 @@ def product_rows(n: int, left: list[int], right: list[int], shift: int) -> dict[
     return out
 
 
-def _row_classes(n: int, idents: list[int], lift: int) -> tuple[list, list]:
+def _row_classes(n: int, idents: Sequence[int], lift: int) -> tuple[list, list]:
     """Per row, each ident's class id, by the bytes of its row slice, and each class's key, its
     nonzero digits as (i, shift + lift, digit).  Adding 0x8080...80 makes each balanced digit a
     byte, digit + 128, with no carry, so row i is the slice [i-1::n]; to_bytes and cuts run in C."""

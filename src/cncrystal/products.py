@@ -3,12 +3,12 @@
 The product here is the honest product of Laurent monomials (exponents add),
 not a tensor product.  Such a product set is again closed under the crystal
 operators and splits into irreducibles; this module computes that splitting
-three ways:
+three ways, from the shift-1 crystals as packed ints (idents), which only
+fundamental_crystal decodes into monomials:
 
-  * brute force: form the product set as packed ints (idents), sums of the
-    shift-1 factors' idents, with rows merged from the factors' row classes,
-    and split it in one walk in the order formed, which also proves it
-    closed; it decodes only the witnesses into monomials;
+  * brute force: form the product set as sums of the factors' idents, rows
+    merged from the factors' row classes, and split it in one walk in the
+    order formed, which also proves it closed; it decodes only the witnesses;
   * character: count only the products of each dominant weight, as sums of
     packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
     the components off those counts with Freudenthal weight multiplicities;
@@ -58,16 +58,12 @@ class ProductSpec(namedtuple("ProductSpec", "n p q m")):
 
 
 @lru_cache(maxsize=256, typed=True)  # typed: a cached (n, 1) must not answer (n, True)
-def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
-    """Connected component of Y_k(1), sorted: the monomial model of the k-th
-    fundamental crystal, proved equal to the X-word enumeration.
-    Its shift by m - 1 is M_k(m) = m_k_set(n, k, m); products shift its packed ints instead.
-
-    A miss sums the idents of the C(2n, k) X-words (m_k_idents, whose budget
-    check refuses an over-budget length before any is formed) and walks them:
-    one component, whose witness is Y_k(1), proves the set closed and
-    connected, so it is the closure of Y_k(1).  A cache hit forms no new
-    elements, so it needs no budget check."""
+def _crystal_idents(n: int, k: int) -> tuple[int, ...]:
+    """Connected component of Y_k(1) as packed idents by decreasing int, the form that products,
+    brute force and verify read.  A miss sums the idents of the C(2n, k) X-words (m_k_idents,
+    whose budget check refuses an over-budget length before any is formed) and walks them: one
+    component, whose witness is Y_k(1), proves the set closed and connected, so it is the closure
+    of Y_k(1).  A cache hit forms no new elements, so it needs no budget check."""
     check_rank(n)
     check_index(n, k, "k")
     idents = m_k_idents(n, k)
@@ -77,10 +73,16 @@ def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
     except (ValueError, CrystalInvariantError):
         proved = False
     if not proved:
-        raise CrystalInvariantError(
-            f"closure of Y_{k}(1) disagrees with the X-word enumeration at rank {n}"
-        )
-    return tuple(sorted(unpack(n, x) for x in idents))
+        raise CrystalInvariantError(f"closure of Y_{k}(1) disagrees with the X-word "
+                                    f"enumeration at rank {n}")
+    return tuple(sorted(idents, reverse=True))
+
+
+@lru_cache(maxsize=256, typed=True)
+def fundamental_crystal(n: int, k: int) -> tuple[Monomial, ...]:
+    """Connected component of Y_k(1), sorted: the monomial model of the k-th fundamental crystal,
+    decoded from _crystal_idents.  Its shift by m - 1 is M_k(m) = m_k_set(n, k, m)."""
+    return tuple(sorted(unpack(n, x) for x in _crystal_idents(n, k)))
 
 
 def product_set(spec: ProductSpec) -> dict[int, tuple]:
@@ -89,12 +91,10 @@ def product_set(spec: ProductSpec) -> dict[int, tuple]:
     M_q(1), each by decreasing int, x-major, each mapped to its n row records as packed_rows
     reads them, merged by product_rows from the factors' rows.  decompose_set(products, spec.n)
     walks them in that order and proves the set operator-closed."""
-    left = fundamental_crystal(spec.n, spec.p)
-    right = fundamental_crystal(spec.n, spec.q)
+    left, right = _crystal_idents(spec.n, spec.p), _crystal_idents(spec.n, spec.q)
     check_budget(len(left) * len(right), f"lengths {spec.p} and {spec.q} at rank {spec.n} "
                  f"form {len(left)}*{len(right)} products")
-    idents = (sorted((x.ident() for x in crystal), reverse=True) for crystal in (left, right))
-    return product_rows(spec.n, *idents, _shift(spec))
+    return product_rows(spec.n, left, right, _shift(spec))
 
 
 def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
@@ -114,7 +114,7 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     except CrystalInvariantError as exc:
         raise CrystalInvariantError(f"decomposing {spec}: {exc}") from exc
     left_hw = Monomial.generator(spec.n, spec.p, spec.m)
-    right = {y.ident() for y in fundamental_crystal(spec.n, spec.q)}
+    right = set(_crystal_idents(spec.n, spec.q))
     for component in components:
         if component.witness.ident() - left_hw.ident() not in right:
             raise CrystalInvariantError(
@@ -126,11 +126,11 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
 
 @lru_cache(maxsize=None)  # each shift-1 crystal is grouped once per process
 def _weight_classes(n: int, k: int) -> dict[int, tuple[int, ...]]:
-    """fundamental_crystal(n, k)'s idents by ident % (256**n - 1) = sum wt_i * 256**(i-1), reduced,
+    """_crystal_idents(n, k) by ident % (256**n - 1) = sum wt_i * 256**(i-1), reduced,
     at any shift, since 256**n is 1 modulo it; weight digits in [-64, 64) keep weights apart."""
     classes, fold = {}, 256**n - 1
-    for x in fundamental_crystal(n, k):
-        classes.setdefault(x.ident() % fold, []).append(x.ident())
+    for x in _crystal_idents(n, k):
+        classes.setdefault(x % fold, []).append(x)
     return {w: tuple(idents) for w, idents in classes.items()}  # kept, so no list's spare room
 
 
@@ -264,17 +264,14 @@ def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
     check_positive(m_max, "m_max")
     # refused before the first cell: the cells, then the largest crystal,
     check_budget(m_max * sum(n * n for n in range(2, n_max + 1)), f"verify --m-max {m_max}: cells")
-    try:  # which needs no budget when it is cached, as in fundamental_crystal
-        fundamental_crystal(n_max, n_max)
+    try:  # which needs no budget when it is cached, as in _crystal_idents
+        _crystal_idents(n_max, n_max)
     except VertexBudgetExceeded as exc:
         raise VertexBudgetExceeded(f"verify --n-max {n_max}: {exc}") from None
     cells = []
-    for n in range(2, n_max + 1):
-        for p in range(1, n + 1):
-            for q in range(1, n + 1):
-                for m in range(1, m_max + 1):
-                    spec = ProductSpec(n, p, q, m)
-                    character = decompose_product_character(spec)
-                    found = tuple(sorted(weight_to_pair(Weight(w)) for w in character.elements()))
-                    cells.append((spec, found, product_decomposition_closed_form(spec)))
+    for spec in (ProductSpec(n, p, q, m) for n in range(2, n_max + 1) for p in range(1, n + 1)
+                 for q in range(1, n + 1) for m in range(1, m_max + 1)):
+        character = decompose_product_character(spec)
+        found = tuple(sorted(weight_to_pair(Weight(w)) for w in character.elements()))
+        cells.append((spec, found, product_decomposition_closed_form(spec)))
     return tuple(cells)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from functools import lru_cache
+from operator import add, mul
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -185,6 +186,14 @@ class Weight:
         return f"Weight({self.coeffs})"
 
 
+@lru_cache(maxsize=None)  # one table per rank, for weyl_dimension and every _freudenthal call
+def _positive_roots(n: int) -> tuple[tuple[int, ...], ...]:
+    """eps_i + s eps_j (j >= i) in epsilon-coordinates: the n^2 positive roots of C_n."""
+    return tuple(tuple((k == i) + s * (k == j) for k in range(n))
+                 for i in range(n) for j in range(i, n) for s in (1, -1) if j > i or s > 0)
+
+
+@lru_cache(maxsize=None)  # the character path's peel asks the same weights at every m
 def weyl_dimension(weight: Weight) -> int:
     """Dimension of the irreducible C_n module of dominant highest weight
     lambda, which is also the size of the crystal B(lambda).
@@ -199,15 +208,11 @@ def weyl_dimension(weight: Weight) -> int:
     if not weight.is_dominant():
         raise ValueError(f"weyl_dimension needs a dominant weight, got {weight}")
     n = weight.rank
-    rho = range(n, 0, -1)
-    shifted = [x + r for x, r in zip(weight.to_epsilon(), rho)]
+    shifted = [x + r for x, r in zip(weight.to_epsilon(), range(n, 0, -1))]
     numerator = denominator = 1
-    for i in range(n):
-        numerator *= shifted[i]
-        denominator *= n - i
-        for j in range(i + 1, n):
-            numerator *= (shifted[i] - shifted[j]) * (shifted[i] + shifted[j])
-            denominator *= (j - i) * (2 * n - i - j)
+    for alpha in _positive_roots(n):
+        numerator *= sum(map(mul, shifted, alpha))
+        denominator *= sum(map(mul, range(n, 0, -1), alpha))
     return numerator // denominator
 
 
@@ -238,16 +243,14 @@ def _freudenthal(lam: tuple[int, ...], mu: tuple[int, ...]) -> int:
     sums = [sum(lam[:k]) - sum(mu[:k]) for k in range(1, len(lam) + 1)]
     if min(sums) < 0 or sums[-1] % 2 or mu == lam:
         return int(mu == lam)
-    n, bound, total = len(lam), sum(x * x for x in lam), 0
-    roots = [tuple((k == i) + s * (k == j) for k in range(n))  # eps_i + s eps_j, j >= i
-             for i in range(n) for j in range(i, n) for s in (1, -1) if j > i or s > 0]
-    for alpha in roots:
+    n, bound, total = len(lam), sum(map(mul, lam, lam)), 0
+    for alpha in _positive_roots(n):
         # weights of V(lam) are at most |lam| long, and (mu, alpha) >= 0 makes
         # |mu + k alpha| grow with k: the string ends at the first k past |lam|
-        nu = tuple(x + a for x, a in zip(mu, alpha))
-        while sum(x * x for x in nu) <= bound:
-            total += _freudenthal(lam, _dominant(nu)) * sum(x * a for x, a in zip(nu, alpha))
-            nu = tuple(x + a for x, a in zip(nu, alpha))
+        nu = tuple(map(add, mu, alpha))
+        while sum(map(mul, nu, nu)) <= bound:
+            total += _freudenthal(lam, _dominant(nu)) * sum(map(mul, nu, alpha))
+            nu = tuple(map(add, nu, alpha))
     # |lam+rho|^2 - |mu+rho|^2 = (lam - mu, lam + mu + 2 rho) > 0, as mu < lam
     gap = sum((a - b) * (a + b + 2 * r) for a, b, r in zip(lam, mu, range(n, 0, -1)))
     return 2 * total // gap

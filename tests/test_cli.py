@@ -30,7 +30,9 @@ def test_graph_dot_example(capsys):
     assert out.endswith("}\n")
 
 
-def test_graph_json(capsys):
+def test_graph_json(capsys, monkeypatch):
+    # a budget just above the crystal's 5 vertices stops a faulty operator's closure early
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "6")
     code, out, _ = run_cli(
         capsys, "graph", "--rank", "2", "--k", "2", "--format", "json"
     )
@@ -305,7 +307,8 @@ def test_invariant_errors_exit_2(capsys, monkeypatch):
     assert err.startswith("error: product set for ProductSpec(n=2, p=1, q=1, m=2)")
 
 
-def test_output_file(tmp_path, capsys):
+def test_output_file(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")  # just above the crystal's 4 vertices
     target = tmp_path / "graph.dot"
     code, out, _ = run_cli(
         capsys,

@@ -18,9 +18,12 @@ from cncrystal import (
 REPO = Path(__file__).resolve().parents[1]
 
 
-def test_readme_library_quick_start():
+def test_readme_library_quick_start(monkeypatch):
+    # budgets just above each step's size stop a faulty operator's closure early
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     graph = generate_closure([Monomial.generator(2, 1, 1)])
     assert len(graph.vertices) == 4
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "12101")  # 110 * 110 products are formed
     spec = ProductSpec(n=5, p=3, q=3, m=2)
     decomposition = decompose_product_bruteforce(spec)
     assert [c.size for c in decomposition] == [4004, 5005]

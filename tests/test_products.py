@@ -37,10 +37,21 @@ def test_fundamental_crystal_counts():
 
 
 def test_fundamental_crystal_cache_answers_no_unvalidated_key():
-    # True == 1 hashes alike: a cached (2, 1, 1) must not answer (2, True, 1)
-    fundamental_crystal(2, 1)
-    with pytest.raises(ValueError, match=r"^index k=True out of range \[1, 2\]$"):
-        fundamental_crystal(2, True)
+    # True == 1 hashes alike: a cached (2, 1) must not answer (2, True), nor its packed form's
+    for crystal in (fundamental_crystal, products._crystal_idents):
+        crystal(2, 1)
+        with pytest.raises(ValueError, match=r"^index k=True out of range \[1, 2\]$"):
+            crystal(2, True)
+
+
+def test_the_packed_crystal_decodes_to_the_fundamental_crystal_by_decreasing_int():
+    # products, brute force and verify read the packed form alone; it is the crystal's idents
+    for n in range(2, 7):
+        for k in range(1, n + 1):
+            packed = products._crystal_idents(n, k)
+            assert type(packed) is tuple and all(type(x) is int for x in packed), (n, k)
+            assert tuple(sorted(unpack(n, x) for x in packed)) == fundamental_crystal(n, k), (n, k)
+            assert all(x > y for x, y in zip(packed, packed[1:])), (n, k)  # strictly decreasing
 
 
 def test_fundamental_crystal_translates():
@@ -71,12 +82,14 @@ def test_a_closure_that_disagrees_with_the_x_words_is_an_invariant_error(monkeyp
     try:
         for idents in mutated:
             monkeypatch.setattr(products, "m_k_idents", lambda n, k: set(idents))
+            products._crystal_idents.cache_clear()  # the proof is cached in packed form
             fundamental_crystal.cache_clear()
             with pytest.raises(CrystalInvariantError, match=f"^{re.escape(message)}$"):
                 fundamental_crystal(2, 1)
             assert main(["decompose-product", "--rank", "2", "--p", "1", "--q", "1"]) == 2
             assert capsys.readouterr() == ("", f"error: {message}\n")
     finally:
+        products._crystal_idents.cache_clear()
         fundamental_crystal.cache_clear()
 
 
@@ -287,7 +300,7 @@ def test_a_fundamental_crystal_is_refused_over_budget_before_its_closure(monkeyp
     monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "119")
     message = r"length 3 at rank 5 walks C\(10, 3\) X-words: 120 exceeds the vertex budget 119"
     with pytest.raises(VertexBudgetExceeded, match=message):
-        fundamental_crystal.__wrapped__(5, 3)  # uncached
+        products._crystal_idents.__wrapped__(5, 3)  # uncached
 
 
 def test_tensor_closed_form_examples():
@@ -492,7 +505,8 @@ def test_residue_pairs_are_the_weight_class_pairs():
             for q in range(1, n + 1):
                 left, right = {}, {}
                 for classes, k in ((left, p), (right, q)):
-                    for x in fundamental_crystal(n, k):
+                    # by decreasing int, the order of the packed crystal the classes are read from
+                    for x in sorted(fundamental_crystal(n, k), key=Monomial.ident, reverse=True):
                         classes.setdefault(x.weight().coeffs, []).append(x.ident())
                 for target, _, formed, pairs, refusal in products._weight_pairs(n, p, q):
                     expected = [  # the classes are kept as tuples

@@ -174,15 +174,16 @@ def _orbit_size(eps):
 def test_weight_multiplicities_add_up_to_the_weyl_dimension():
     # every weight of V(L_a + L_c) has epsilon-entries at most 2 in absolute
     # value, so its dominant conjugate is a non-increasing tuple over 0..2
-    for n in range(2, 6):
-        dominant = [eps for eps in itertools.product(range(3), repeat=n)
-                    if list(eps) == sorted(eps, reverse=True)]
+    for n in range(2, 8):
+        # each orbit is counted once per rank, not once per highest weight
+        orbits = {eps: _orbit_size(eps) for eps in itertools.product(range(3), repeat=n)
+                  if list(eps) == sorted(eps, reverse=True)}
         for a in range(n + 1):
             for c in range(max(a, 1), n + 1):
                 highest = Weight.fundamental(n, a) + Weight.fundamental(n, c)
                 total = sum(
-                    _orbit_size(eps) * weight_multiplicity(highest, Weight.from_epsilon(eps))
-                    for eps in dominant
+                    orbit * weight_multiplicity(highest, Weight.from_epsilon(eps))
+                    for eps, orbit in orbits.items()
                 )
                 assert total == weyl_dimension(highest), (n, a, c)
 
