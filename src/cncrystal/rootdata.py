@@ -17,7 +17,8 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from functools import lru_cache
-from operator import add, mul
+from itertools import accumulate
+from operator import add, mul, sub
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -133,21 +134,14 @@ class Weight:
     @classmethod
     def from_epsilon(cls, eps: Iterable[int]) -> "Weight":
         eps = tuple(eps)
-        n = len(eps)
-        check_rank(n)
+        check_rank(len(eps))
         for x in eps:
             if not is_int(x):
                 raise ValueError(f"epsilon coordinate {x!r} must be an integer")
-        return cls(tuple(eps[i] - (eps[i + 1] if i + 1 < n else 0) for i in range(n)))
+        return cls(tuple(map(sub, eps, eps[1:] + (0,))))  # coefficient i: eps_i - eps_(i+1)
 
-    def to_epsilon(self) -> tuple[int, ...]:
-        n = self.rank
-        out = [0] * n
-        running = 0
-        for j in range(n - 1, -1, -1):
-            running += self.coeffs[j]
-            out[j] = running
-        return tuple(out)
+    def to_epsilon(self) -> tuple[int, ...]:  # eps_j = sum of the coefficients from j on
+        return tuple(accumulate(reversed(self.coeffs)))[::-1]
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coeffs)

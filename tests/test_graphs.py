@@ -21,7 +21,8 @@ from undirected_walk_reference import undirected_decompose_set
 from helpers import monomial_products, operator_rows
 
 
-def test_closure_rank2_path():
+def test_closure_rank2_path(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")  # just above: a faulty closure stops early
     g = generate_closure([Monomial.generator(2, 1, 1)])
     assert len(g.vertices) == 4
     assert [i for _, i, _ in g.edges] == [1, 2, 1]
@@ -43,14 +44,14 @@ def test_closure_of_identity_monomial():
     assert g.edges == ()
 
 
-def test_closure_from_any_element_is_its_fundamental_crystal():
+def test_closure_from_any_element_is_its_fundamental_crystal(monkeypatch):
     # a seed below the highest weight reaches the top through its e(i) images
-    for n in (2, 3):
-        for k in range(1, n + 1):
-            crystal = fundamental_crystal(n, k)
-            for x in crystal:
-                vertices = generate_closure([x]).vertices
-                assert vertices[0] == x and tuple(sorted(vertices)) == crystal, (n, k, x)
+    crystals = {(n, k): fundamental_crystal(n, k) for n in (2, 3) for k in range(1, n + 1)}
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "15")  # the largest has 14 elements
+    for (n, k), crystal in crystals.items():
+        for x in crystal:
+            vertices = generate_closure([x]).vertices
+            assert vertices[0] == x and tuple(sorted(vertices)) == crystal, (n, k, x)
 
 
 def test_closure_budget(monkeypatch):
@@ -70,7 +71,8 @@ def test_closure_rejects_mixed_ranks():
         generate_closure([Monomial.one(2), Monomial.one(3)])
 
 
-def test_is_closed():
+def test_is_closed(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "6")  # just above the 5 of Y2(1)'s closure
     full = generate_closure([Monomial.generator(2, 2, 1)]).vertices
     assert is_closed(full)
     assert not is_closed(full[:3])
@@ -81,7 +83,8 @@ def test_is_closed():
 # -- decomposition -----------------------------------------------------------------
 
 
-def test_decompose_irreducible():
+def test_decompose_irreducible(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")  # just above the 4 of Y1(1)'s closure
     vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     dec = decompose_set(vertices)
     assert len(dec) == 1
@@ -95,14 +98,16 @@ def test_decompose_irreducible():
 # each truncation below has exactly one image outside it, which the error names.
 
 
-def test_decompose_rejects_open_sets():
+def test_decompose_rejects_open_sets(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     with pytest.raises(ValueError) as info:
         decompose_set(vertices[:2])
     assert str(info.value).startswith(f"f_2 of {vertices[1]} leaves the set")
 
 
-def test_decompose_rejects_sets_missing_their_highest_weight():
+def test_decompose_rejects_sets_missing_their_highest_weight(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     vertices = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     with pytest.raises(ValueError, match="closed under e and f") as info:
         decompose_set(vertices[1:])
@@ -148,6 +153,7 @@ def test_decompose_set_rejects_mixed_ranks():
 
 def test_generate_closure_scans_each_string_once(monkeypatch):
     calls = count_calls(monkeypatch, "string_stats")
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "49")  # just above the 48 of Y3(1)'s closure
     graph = generate_closure([Monomial.generator(4, 3, 1)])
     assert len(graph.vertices) * 4 == len(calls) == 192
 
@@ -416,7 +422,8 @@ def test_the_empty_set_has_no_components():
     assert decompose_set(set()) == decompose_set(set(), 3) == ()
 
 
-def test_decompose_product_set_rank2():
+def test_decompose_product_set_rank2(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")  # just above the 4 of each closure
     left = generate_closure([Monomial.generator(2, 1, 2)]).vertices
     right = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     products = {a * b for a in left for b in right}
@@ -425,7 +432,8 @@ def test_decompose_product_set_rank2():
     assert sum(c.size for c in dec) == len(products)
 
 
-def test_decompose_tensor_crystal_rank2():
+def test_decompose_tensor_crystal_rank2(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     letters = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     pairs = [TensorPair(a, b) for a in letters for b in letters]
     assert is_closed(pairs)
@@ -437,7 +445,8 @@ def test_decompose_tensor_crystal_rank2():
     }
 
 
-def test_decomposition_comparison_ignores_witnesses():
+def test_decomposition_comparison_ignores_witnesses(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     left = generate_closure([Monomial.generator(2, 1, 3)]).vertices
     right = generate_closure([Monomial.generator(2, 1, 1)]).vertices
     d1 = decompose_set({a * b for a in left for b in right})
@@ -449,7 +458,8 @@ def test_decomposition_comparison_ignores_witnesses():
     assert [c.witness for c in d1] != [c.witness for c in d2]
 
 
-def test_decompose_orders_repeated_constituents_by_witness():
+def test_decompose_orders_repeated_constituents_by_witness(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "5")
     factors = [generate_closure([Monomial.generator(2, 1, m)]).vertices for m in (3, 2, 1)]
     products = {a * b * c for a in factors[0] for b in factors[1] for c in factors[2]}
     repeated = [c for c in decompose_set(products) if c.weight == Weight((1, 1))]
@@ -635,7 +645,8 @@ def test_export_path_dot(capsys):
     assert doc.endswith("}\n")
 
 
-def test_export_json_roundtrip(capsys):
+def test_export_json_roundtrip(capsys, monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "6")  # just above the 5 of Y2(1)'s closure
     g = generate_closure([Monomial.generator(2, 2, 1)])
     doc = json.loads(graph_document(capsys, 2, 2, "json"))
     assert len(doc["vertices"]) == len(g.vertices)
@@ -649,7 +660,8 @@ def test_export_deterministic(capsys):
         assert len(runs) == 1
 
 
-def test_edge_count_matches_phi_support():
+def test_edge_count_matches_phi_support(monkeypatch):
+    monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", "15")  # just above the 14 of Y2(1)'s closure
     g = generate_closure([Monomial.generator(3, 2, 1)])
     expected = sum(
         1 for v in g.vertices for i in (1, 2, 3) if v.phi(i) > 0

@@ -419,16 +419,30 @@ def test_weight_pair_roundtrip():
             weight_to_pair(Weight(coeffs))
 
 
+def test_weight_of_pair_cache_answers_no_unvalidated_key():
+    # True == 1 hashes alike: a cached (2, 1, 1) must answer neither (2, True, 1) nor (2, 1, True)
+    assert weight_of_pair(2, 1, 1) is weight_of_pair(2, 1, 1)
+    for args in ((2, True, 1), (2, 1, True)):
+        with pytest.raises(ValueError, match=r"^index i=True out of range \[1, 2\]$"):
+            weight_of_pair(*args)
+
+
 # -- every shift from a finite range -----------------------------------------------
 
 
 def test_fundamental_crystals_lie_in_shifts_1_to_n_plus_1():
     # so M_p(m) lies in shifts [m, m + n], apart from M_q(1) once m >= n + 2, where a product
     # a*b names its factors; and every threshold is reached by then, at most at n + 1
-    for n in range(2, 9):
+    for n in range(2, 11):
         for k in range(1, n + 1):
-            shifts = {s for x in fundamental_crystal(n, k) for _, s, _ in x.sort_key()}
-            assert min(shifts) >= 1 and max(shifts) <= n + 1, (n, k)
+            if n <= 8:
+                shifts = {s for x in fundamental_crystal(n, k) for _, s, _ in x.sort_key()}
+                assert min(shifts) >= 1 and max(shifts) <= n + 1, (n, k)
+            else:  # packed, uncached: Y_i(s) is the digit at byte (s-1)n + i-1, s >= 1, in
+                # [-64, 64), so every digit sits below byte n(n+1) iff |x| < 2^(8n(n+1)-1)
+                bound = 1 << 8 * n * (n + 1) - 1
+                packed = products._crystal_idents.__wrapped__(n, k)
+                assert all(-bound < x < bound for x in packed), (n, k)
         for p in range(1, n + 1):
             for q in range(1, n + 1):
                 assert max(predicted_components(n, p, q).values()) <= n + 1, (n, p, q)
@@ -466,6 +480,43 @@ def test_each_threshold_is_where_the_products_of_its_weight_stop_colliding():
                         assert distinct <= formed and (distinct == formed) == (m >= threshold), spec
                     constituents += 1
     assert constituents == 411
+
+
+def test_the_right_crystal_keeps_its_products_apart_from_m_equal_n_plus_1():
+    # (x << 8n(m-1)) + y is one-to-one over M_p(1) x M_q(1) when the idents y of M_q(1) are
+    # pairwise distinct modulo 2^(8n(m-1)): so from m = n + 1 on, and not at m = n
+    for n in range(2, 9):
+        for q in range(1, n + 1):
+            idents = products._crystal_idents(n, q)
+            for m, apart in ((n + 1, True), (n, False)):
+                residues = {y % (1 << 8 * n * (m - 1)) for y in idents}
+                assert (len(residues) == len(idents)) == apart, (n, q, m)
+            assert products._apart(n, q), (n, q)
+
+
+def test_from_m_equal_n_plus_1_the_distinct_products_are_those_formed():
+    # the set-free count of decompose_product_character, checked against the set it skips
+    for n in range(2, 7):
+        for p in range(1, n + 1):
+            for q in range(1, n + 1):
+                for target, _, formed, pairs, _ in products._weight_pairs(n, p, q):
+                    for m in range(n + 1, n + 4):
+                        distinct = products._distinct_products(pairs, ProductSpec(n, p, q, m))
+                        assert len(distinct) == formed, (n, p, q, m, target)
+
+
+def test_verify_cells_are_the_character_path_and_the_closed_form_cell_by_cell():
+    # verify_range reads the closed form and each target's pair once per (n, p, q) and checks
+    # the budget only at m = 1; each cell is still what the two public paths give
+    cells = verify_range(5, 8)
+    specs = [ProductSpec(n, p, q, m) for n in range(2, 6) for p in range(1, n + 1)
+             for q in range(1, n + 1) for m in range(1, 9)]
+    assert [spec for spec, _, _ in cells] == specs
+    for spec, found, predicted in cells:
+        if spec.m <= spec.n + 3:
+            character = decompose_product_character(spec)
+            assert found == tuple(sorted(weight_to_pair(Weight(w)) for w in character.elements()))
+            assert predicted == product_decomposition_closed_form(spec), spec
 
 
 def _residue(n, coeffs):  # a weight's balanced base-256 digits, reduced modulo 256**n - 1
