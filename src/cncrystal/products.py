@@ -10,9 +10,8 @@ fundamental_crystal decodes into monomials:
     merged from the factors' row classes, and split it in one walk in the
     order formed, which also proves it closed; it decodes only the witnesses;
   * character: count only the products of each dominant weight, as sums of
-    packed ints paired once per (n, p, q) from the shift-1 crystals (from
-    m = n + 1 on, where no two sums can be equal, by multiplying class sizes),
-    and peel the components off with Freudenthal weight multiplicities;
+    packed ints paired once per (n, p, q) from the shift-1 crystals, and peel
+    the components off those counts with Freudenthal weight multiplicities;
   * closed form: the arithmetic rule predicting which dominant weights
     L_a + L_c occur, each gated by an integer threshold on the shift gap m.
 
@@ -41,7 +40,7 @@ from math import comb
 from .graphs import Component, CrystalInvariantError, decompose_set
 from .monomials import Monomial, m_k_idents, product_rows, unpack
 from .rootdata import Weight, check_budget, check_index, check_positive, check_rank
-from .rootdata import VertexBudgetExceeded, weight_multiplicity, weyl_dimension
+from .rootdata import VertexBudgetExceeded, vertex_budget, weight_multiplicity, weyl_dimension
 
 
 class ProductSpec(namedtuple("ProductSpec", "n p q m")):
@@ -118,9 +117,10 @@ def decompose_product_bruteforce(spec: ProductSpec) -> tuple[Component, ...]:
     right = set(_crystal_idents(spec.n, spec.q))
     for component in components:
         if component.witness.ident() - left_hw.ident() not in right:
-            raise CrystalInvariantError(f"decomposing {spec}: highest-weight product "
-                                        f"{component.witness} has no factorization with "
-                                        f"left factor {left_hw}")
+            raise CrystalInvariantError(
+                f"decomposing {spec}: highest-weight product {component.witness} "
+                f"has no factorization with left factor {left_hw}"
+            )
     return components
 
 
@@ -140,12 +140,11 @@ def _weight_pairs(n: int, p: int, q: int) -> tuple[tuple[Weight, int, int, list,
     L_p + L_q, in descending epsilon-lex order: the shift-1 weight classes whose residues add to
     the target's, the sum |L| * |R| of their products, and the text refusing them over budget."""
     left, right, fold, table = _weight_classes(n, p), _weight_classes(n, q), 256**n - 1, []
-    # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)),
-    # with no negative partial sum of the difference and an even whole
+    # a dominant weight below L_p + L_q is L_a + L_c = (2^a, 1^(c-a), 0^(n-c)) whose difference
+    # has an even whole and partial sums >= 0 in k: least at k = a or c, below 0 at a only if at c
     for a in range(n, -1, -1):
         for c in range(n, a - 1, -1):
-            sums = [min(k, p) + min(k, q) - min(k, a) - min(k, c) for k in range(1, n + 1)]
-            if min(sums) < 0 or sums[-1] % 2:
+            if min(c, p) + min(c, q) < a + c or (p + q - a - c) % 2:
                 continue
             target = weight_of_pair(n, a, c)
             key = sum(w << 8 * i for i, w in enumerate(target.coeffs))
@@ -166,30 +165,19 @@ def _distinct_products(pairs: list, spec: ProductSpec) -> set[int]:
     return {(x << shift) + y for lw, rw in pairs for x in lw for y in rw}
 
 
-@lru_cache(maxsize=None)  # once per (n, q): what holds at m = n + 1 holds at every larger m
-def _apart(n: int, q: int) -> bool:
-    """Whether the idents of M_q(1) are pairwise distinct modulo 2^(8n*n), the shift at m = n + 1:
-    then no two products (x << 8n(m-1)) + y are equal, as equal sums force equal y, then x."""
-    idents = _crystal_idents(n, q)
-    return len({y & ((1 << 8 * n * n) - 1) for y in idents}) == len(idents)
-
-
-def decompose_product_character(spec: ProductSpec, budgeted: bool = True) -> Counter:
+def decompose_product_character(spec: ProductSpec) -> Counter:
     """The weight multiset of the decomposition, comparable with
-    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).  The product set is
-    closed, so it is a sum of m_lambda B(lambda) whose W-invariant character is fixed by
-    count(mu), the number of products a*b of each dominant weight mu = wt(a) + wt(b) (products of
-    unequal weights differ).  In descending epsilon-lex order, which refines dominance,
-    m_mu = count(mu) - sum m_nu * mult_nu(mu).  count(mu) is the size of the set of ident sums
-    (_weight_pairs), or, from m = n + 1 on where the right factor's idents are _apart, their
-    number |L| * |R|.  budgeted=False skips the budget checks, as verify_range does past a
-    triple's first m: the products formed do not depend on m."""
-    peeled, total, found = [], 0, 0
-    apart = spec.m > spec.n and _apart(spec.n, spec.q)
+    Counter(c.weight.coeffs for c in decompose_product_bruteforce(spec)).
+    The product set is closed, so it is a sum of m_lambda B(lambda) whose
+    W-invariant character is fixed by count(mu), the number of products a*b
+    of each dominant weight mu = wt(a) + wt(b) (products of unequal weights
+    differ).  In descending epsilon-lex order, which refines dominance,
+    m_mu = count(mu) - sum m_nu * mult_nu(mu), counting idents (_weight_pairs)."""
+    peeled, total, found, budget = [], 0, 0, vertex_budget()  # the budget is read once per cell
     for target, orbit, formed, pairs, refusal in _weight_pairs(spec.n, spec.p, spec.q):
-        if budgeted:
+        if formed > budget:  # each target is still refused before its products are formed
             check_budget(formed, refusal)
-        count = formed if apart else len(_distinct_products(pairs, spec))
+        count = len(_distinct_products(pairs, spec))
         total += count * orbit
         copies = count - sum(m * weight_multiplicity(nu, target) for nu, m in peeled)
         if copies < 0:
@@ -198,8 +186,9 @@ def decompose_product_character(spec: ProductSpec, budgeted: bool = True) -> Cou
             peeled.append((target, copies))
             found += copies * weyl_dimension(target)
     if found != total:  # total is the size of the product set, by W-invariance
-        raise CrystalInvariantError(f"components of {spec} hold {found} elements, "
-                                    f"but its product set has {total}")
+        raise CrystalInvariantError(
+            f"components of {spec} hold {found} elements, but its product set has {total}"
+        )
     return Counter({nu.coeffs: m for nu, m in peeled})
 
 
@@ -283,10 +272,8 @@ def verify_range(n_max: int, m_max: int) -> tuple[tuple, ...]:
     cells = []
     for n, p, q in ((n, p, q) for n in range(2, n_max + 1) for p in range(1, n + 1)
                     for q in range(1, n + 1)):
-        table = predicted_components(n, p, q)  # per triple: only the counts vary with m
         names = {target.coeffs: weight_to_pair(target) for target, *_ in _weight_pairs(n, p, q)}
-        for m in range(1, m_max + 1):
-            spec = ProductSpec(n, p, q, m)
-            found = sorted(names[w] for w in decompose_product_character(spec, m == 1).elements())
-            cells.append((spec, tuple(found), tuple(x for x, t in table.items() if t <= m)))
+        for spec in (ProductSpec(n, p, q, m) for m in range(1, m_max + 1)):
+            found = sorted(names[w] for w in decompose_product_character(spec).elements())
+            cells.append((spec, tuple(found), product_decomposition_closed_form(spec)))
     return tuple(cells)

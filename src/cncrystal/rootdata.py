@@ -17,8 +17,7 @@ from __future__ import annotations
 import os
 from collections.abc import Iterable
 from functools import lru_cache
-from itertools import accumulate
-from operator import add, mul, sub
+from operator import add, mul
 
 DEFAULT_VERTEX_BUDGET = 10**6
 
@@ -134,14 +133,21 @@ class Weight:
     @classmethod
     def from_epsilon(cls, eps: Iterable[int]) -> "Weight":
         eps = tuple(eps)
-        check_rank(len(eps))
+        n = len(eps)
+        check_rank(n)
         for x in eps:
             if not is_int(x):
                 raise ValueError(f"epsilon coordinate {x!r} must be an integer")
-        return cls(tuple(map(sub, eps, eps[1:] + (0,))))  # coefficient i: eps_i - eps_(i+1)
+        return cls(tuple(eps[i] - (eps[i + 1] if i + 1 < n else 0) for i in range(n)))
 
-    def to_epsilon(self) -> tuple[int, ...]:  # eps_j = sum of the coefficients from j on
-        return tuple(accumulate(reversed(self.coeffs)))[::-1]
+    def to_epsilon(self) -> tuple[int, ...]:
+        n = self.rank
+        out = [0] * n
+        running = 0
+        for j in range(n - 1, -1, -1):
+            running += self.coeffs[j]
+            out[j] = running
+        return tuple(out)
 
     def is_dominant(self) -> bool:
         return all(c >= 0 for c in self.coeffs)

@@ -126,8 +126,11 @@ class Column:
         return tuple(_letter_position(n, v) for v in self.letters)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Column)
-                and (self.rank, self.letters) == (other.rank, other.letters))
+        return (
+            isinstance(other, Column)
+            and self.rank == other.rank
+            and self.letters == other.letters
+        )
 
     def __hash__(self) -> int:
         return self._hash
@@ -146,9 +149,15 @@ def column_is_admissible(column: Column) -> bool:
     key = column.sort_key()
     if any(a >= b for a, b in zip(key, key[1:])):
         raise ValueError("admissibility is defined for strictly increasing columns")
-    positions, size = {v: k for k, v in enumerate(column.letters, start=1)}, len(column.letters)
-    return all(positions[p] + (size - positions[-p] + 1) <= p
-               for p in range(1, column.rank + 1) if p in positions and -p in positions)
+    letters = column.letters
+    positions = {v: k for k, v in enumerate(letters, start=1)}
+    size = len(letters)
+    for p in range(1, column.rank + 1):
+        if p in positions and -p in positions:
+            k, l = positions[p], positions[-p]
+            if k + (size - l + 1) > p:
+                return False
+    return True
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: a cached (n, 1) must not answer (n, True)

@@ -482,32 +482,35 @@ def test_each_threshold_is_where_the_products_of_its_weight_stop_colliding():
     assert constituents == 411
 
 
-def test_the_right_crystal_keeps_its_products_apart_from_m_equal_n_plus_1():
-    # (x << 8n(m-1)) + y is one-to-one over M_p(1) x M_q(1) when the idents y of M_q(1) are
-    # pairwise distinct modulo 2^(8n(m-1)): so from m = n + 1 on, and not at m = n
-    for n in range(2, 9):
-        for q in range(1, n + 1):
-            idents = products._crystal_idents(n, q)
-            for m, apart in ((n + 1, True), (n, False)):
-                residues = {y % (1 << 8 * n * (m - 1)) for y in idents}
-                assert (len(residues) == len(idents)) == apart, (n, q, m)
-            assert products._apart(n, q), (n, q)
-
-
-def test_from_m_equal_n_plus_1_the_distinct_products_are_those_formed():
-    # the set-free count of decompose_product_character, checked against the set it skips
+def test_the_targets_are_every_dominant_weight_below_the_top():
+    # the L_a + L_c whose difference from L_p + L_q has no negative partial sum at any k and an
+    # even whole: _weight_pairs reads the partial sum at k = c alone
     for n in range(2, 7):
         for p in range(1, n + 1):
             for q in range(1, n + 1):
-                for target, _, formed, pairs, _ in products._weight_pairs(n, p, q):
-                    for m in range(n + 1, n + 4):
-                        distinct = products._distinct_products(pairs, ProductSpec(n, p, q, m))
-                        assert len(distinct) == formed, (n, p, q, m, target)
+                below = [weight_of_pair(n, a, c).coeffs
+                         for a in range(n, -1, -1) for c in range(n, a - 1, -1)
+                         if (p + q - a - c) % 2 == 0 and all(
+                             min(k, p) + min(k, q) >= min(k, a) + min(k, c) for k in range(1, n + 1))]
+                assert [t.coeffs for t, *_ in products._weight_pairs(n, p, q)] == below, (n, p, q)
+
+
+def test_every_cell_reads_the_budget(monkeypatch):
+    # formed does not depend on m, but the budget may change between cells: each is refused
+    for budget, refused in (("3", True), ("4", False), ("3", True)):
+        monkeypatch.setenv("CRYSTAL_VERTEX_BUDGET", budget)
+        for m in (1, 2, 3):
+            if refused:
+                with pytest.raises(VertexBudgetExceeded, match=r"^lengths 1 and 1 at rank 2, "
+                                   r"products of weight 0: 4 exceeds the vertex budget 3$"):
+                    decompose_product_character(ProductSpec(2, 1, 1, m))
+            else:
+                decompose_product_character(ProductSpec(2, 1, 1, m))
 
 
 def test_verify_cells_are_the_character_path_and_the_closed_form_cell_by_cell():
-    # verify_range reads the closed form and each target's pair once per (n, p, q) and checks
-    # the budget only at m = 1; each cell is still what the two public paths give
+    # verify_range names each target's pair once per (n, p, q); each cell is still what the
+    # two public paths give
     cells = verify_range(5, 8)
     specs = [ProductSpec(n, p, q, m) for n in range(2, 6) for p in range(1, n + 1)
              for q in range(1, n + 1) for m in range(1, 9)]
